@@ -16,6 +16,13 @@ from typing import Dict, List, Optional
 
 from .concepts import format_concept
 from .errors import IntlogError
+from .files import (
+    load_formulas,
+    load_signature,
+    load_world,
+    load_world_set,
+    write_world_set,
+)
 from .gen import corpus_formulas, random_formulas
 from .relalg import element_name, format_relation
 from .semantics import (
@@ -27,7 +34,6 @@ from .semantics import (
     extensionalize_nomemo,
     interpret,
     interpret_abstraction,
-    load_world,
 )
 from .syntax import (
     Abstraction,
@@ -43,7 +49,6 @@ from .syntax import (
     free_vars,
     ground,
     ground_term,
-    load_signature,
     parse_formula,
     parse_term,
 )
@@ -51,10 +56,8 @@ from .worlds import (
     DEFAULT_LIMIT,
     WorldSet,
     enumerate_worlds,
-    load_world_set,
     strong_equiv,
     weak_equiv,
-    write_world_set,
 )
 
 
@@ -119,22 +122,9 @@ def _emit_record(**fields) -> None:
     print(" ".join(f"{k}={shlex.quote(str(v))}" for k, v in fields.items()))
 
 
-def _worlds_for_check(args, sig: Signature) -> List[World]:
-    """The world list for sweep commands; exactly one source allowed."""
-    sources = [s for s in ("world", "worlds", "enumerate") if getattr(args, s, None)]
-    if len(sources) != 1:
-        raise CliError("give exactly one of --world, --worlds, --enumerate")
-    if args.world:
-        return [load_world(_read(args.world), sig)]
-    if args.worlds:
-        return list(load_world_set(_read(args.worlds), sig))
-    consts = _parse_pairs(args.const, "--const")
-    return list(
-        enumerate_worlds(sig, _names(args.enumerate), consts or None, limit=args.limit)
-    )
-
-
 def _world_set(args, sig: Signature) -> WorldSet:
+    """The worlds of --world, --worlds or --enumerate; exactly one
+    source allowed."""
     sources = [s for s in ("world", "worlds", "enumerate") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliError("give exactly one of --world, --worlds, --enumerate")
@@ -146,25 +136,12 @@ def _world_set(args, sig: Signature) -> WorldSet:
     return enumerate_worlds(sig, _names(args.enumerate), consts or None, limit=args.limit)
 
 
-def _load_formula_file(path: str, sig: Signature) -> List[Formula]:
-    out = []
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            out.append(parse_formula(line, sig))
-        except IntlogError as e:
-            raise CliError(f"{path}:{lineno}: {e}") from e
-    return out
-
-
 def _sweep_formulas(args, sig: Signature) -> List[Formula]:
     """check-diagram / check-constraint formula sources: a file, a
     seeded random batch, both, or the bundled corpus by default."""
     out: List[Formula] = []
     if args.formulas:
-        out.extend(_load_formula_file(args.formulas, sig))
+        out.extend(load_formulas(_read(args.formulas), sig, args.formulas))
     if args.random:
         elem_names = _names(args.enumerate) if args.enumerate else ()
         out.extend(
@@ -305,7 +282,7 @@ def cmd_eval(args) -> int:
 def cmd_check_diagram(args) -> int:
     sig = _signature(args)
     formulas = _sweep_formulas(args, sig)
-    worlds = _worlds_for_check(args, sig)
+    worlds = _world_set(args, sig)
     pairs = mismatches = 0
     for w in worlds:
         for f in formulas:
@@ -345,7 +322,7 @@ def cmd_check_diagram(args) -> int:
 def cmd_check_constraint(args) -> int:
     sig = _signature(args)
     formulas = _sweep_formulas(args, sig)
-    worlds = _worlds_for_check(args, sig)
+    worlds = _world_set(args, sig)
     checked = violations = skipped = 0
     for w in worlds:
         dom = w.sorted_domain()
@@ -544,6 +521,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except IntlogError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # downstream closed the pipe (records | head); die without noise

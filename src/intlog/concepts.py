@@ -48,7 +48,6 @@ class Concept:
     s: frozenset = frozenset()
     subs: Tuple["Concept", ...] = ()
     n: int = 0
-    has_necess: bool = False
 
     def __str__(self) -> str:
         return format_concept(self)
@@ -129,7 +128,6 @@ def conj(s, u: Concept, v: Concept) -> Concept:
         degree=degree,
         s=s,
         subs=(u, v),
-        has_necess=u.has_necess or v.has_necess,
     )
 
 
@@ -137,9 +135,7 @@ def neg(u: Concept) -> Concept:
     """Complement concept; neg(neg(u)) collapses to u."""
     if u.kind == "neg":
         return u.subs[0]
-    return _intern(
-        ("neg", u.cid), kind="neg", degree=u.degree, subs=(u,), has_necess=u.has_necess
-    )
+    return _intern(("neg", u.cid), kind="neg", degree=u.degree, subs=(u,))
 
 
 def exists(n, u: Concept) -> Concept:
@@ -154,7 +150,6 @@ def exists(n, u: Concept) -> Concept:
         degree=u.degree - 1,
         n=n,
         subs=(u,),
-        has_necess=u.has_necess,
     )
 
 
@@ -181,20 +176,13 @@ def union_concepts(bs: Iterable[Concept]) -> Concept:
         kind="union",
         degree=members[0].degree,
         subs=members,
-        has_necess=any(u.has_necess for u in members),
     )
 
 
 def necess(u: Concept) -> Concept:
     """The rigidified concept: its extension is the same in every world
     of a world set (the intersection of u's extensions)."""
-    return _intern(
-        ("necess", u.cid),
-        kind="necess",
-        degree=u.degree,
-        subs=(u,),
-        has_necess=True,
-    )
+    return _intern(("necess", u.cid), kind="necess", degree=u.degree, subs=(u,))
 
 
 ID_CONCEPT = _intern(("id",), kind="id", degree=2)

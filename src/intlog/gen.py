@@ -9,10 +9,10 @@ which the diagram sweeps deliberately avoid; standalone abstraction
 terms (for the projection checks) do get random alpha/beta splits.
 """
 import random
-from importlib import resources
 from typing import Iterable, List, Sequence
 
 from .errors import IntlogError
+from .files import corpus_lines, data_text, load_signature
 from .syntax import (
     Abstraction,
     Atom,
@@ -28,7 +28,6 @@ from .syntax import (
     Term,
     Variable,
     free_vars,
-    load_signature,
     make_abstraction,
     mk_forall,
     mk_implies,
@@ -163,33 +162,22 @@ def random_formulas(
 # the bundled corpus
 # ---------------------------------------------------------------------------
 
-def _data_text(name: str) -> str:
-    return resources.files("intlog").joinpath("data", name).read_text(encoding="utf-8")
-
-
-def _corpus_lines(name: str):
-    for line in _data_text(name).splitlines():
-        s = line.strip()
-        if s and not s.startswith("#"):
-            yield s
-
-
 def corpus_signature() -> Signature:
-    return load_signature(_data_text("corpus_sig.txt"))
+    return load_signature(data_text("corpus_sig.txt"))
 
 
 def corpus_formulas(sig: Signature = None) -> List[Formula]:
     """The bundled formula corpus, parsed against the corpus signature
     (or a caller-provided superset of it)."""
     sig = sig if sig is not None else corpus_signature()
-    return [parse_formula(s, sig) for s in _corpus_lines("formulas.txt")]
+    return [parse_formula(s, sig) for s in corpus_lines("formulas.txt")]
 
 
 def corpus_abstractions(sig: Signature = None) -> List[Abstraction]:
     """The bundled abstraction-term corpus."""
     sig = sig if sig is not None else corpus_signature()
     out = []
-    for s in _corpus_lines("abstractions.txt"):
+    for s in corpus_lines("abstractions.txt"):
         t = parse_term(s, sig)
         if not isinstance(t, Abstraction):
             raise IntlogError(f"corpus line is not an abstraction term: {s!r}")

@@ -25,9 +25,8 @@ beta-closed.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
 from .concepts import (
     Concept,
@@ -51,29 +50,28 @@ from .relalg import (
     identity_relation,
     natural_join,
     project_out,
-    rel,
     tuple_key,
 )
 from .syntax import (
     Abstraction,
     AssignmentError,
     Atom,
+    Box,
     Conj,
     Constant,
+    Diamond,
     ElemTerm,
     Exists,
     Formula,
     ID_PRED,
     Neg,
     PredicateSymbol,
-    Signature,
     TRUE_PRED,
     Term,
     Variable,
     free_vars,
     ground,
     ground_term,
-    parse_term,
     validate_abstraction,
 )
 
@@ -156,136 +154,6 @@ class World:
 
     def __repr__(self) -> str:
         return f"<world {self.name}: |D|={len(self.domain)}>"
-
-
-# ---------------------------------------------------------------------------
-# world files
-# ---------------------------------------------------------------------------
-
-_DOMAIN_RE = re.compile(r"domain\s+(.+)")
-_REIFY_RE = re.compile(r"reify\s+([A-Za-z]\w*)\s*=\s*(.+)")
-_CONST_RE = re.compile(r"const\s+([A-Za-z]\w*)\s*=\s*([A-Za-z]\w*)")
-_REL_RE = re.compile(r"rel\s+([A-Za-z]\w*)\s*/\s*(\d+)\s*=\s*(.*)")
-_TUPLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-class _WorldFileState:
-    """Shared preamble state while reading world and world-set files."""
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.domain: list = []
-        self.element_names: Dict[str, DomainElement] = {}
-        self.const_map: Dict[str, DomainElement] = {}
-
-    def interim_world(self) -> World:
-        if not self.domain:
-            raise WorldError("domain must be declared first")
-        return World("<loading>", self.domain, self.const_map, {}, dict(self.element_names))
-
-    def handle_domain(self, m) -> None:
-        if self.domain:
-            raise WorldError("domain declared twice")
-        for name in m.group(1).split():
-            if name in self.element_names:
-                raise WorldError(f"duplicate domain element {name!r}")
-            e = Particular(name)
-            self.domain.append(e)
-            self.element_names[name] = e
-
-    def handle_reify(self, m) -> None:
-        name, term_text = m.group(1), m.group(2)
-        if name in self.element_names:
-            raise WorldError(f"element name {name!r} already taken")
-        try:
-            t = parse_term(term_text, self.sig)
-        except IntlogError as e:
-            raise WorldError(f"reify {name}: {e}") from e
-        if not isinstance(t, Abstraction):
-            raise WorldError(f"reify needs an abstraction term, got {term_text!r}")
-        u = interpret_abstraction(t, self.interim_world())
-        e = ConceptHandle(u.cid, name)
-        self.domain.append(e)
-        self.element_names[name] = e
-
-    def handle_const(self, m) -> None:
-        cname, ename = m.group(1), m.group(2)
-        if not self.sig.is_const(cname):
-            raise WorldError(f"constant {cname!r} not declared in the signature")
-        if cname in self.const_map:
-            raise WorldError(f"constant {cname!r} mapped twice")
-        if ename not in self.element_names:
-            raise WorldError(f"unknown element {ename!r}")
-        self.const_map[cname] = self.element_names[ename]
-
-    def parse_rel(self, m) -> Tuple[PredicateSymbol, Relation]:
-        name, arity, rest = m.group(1), int(m.group(2)), m.group(3)
-        if not self.sig.has_pred(name, arity):
-            raise WorldError(f"predicate {name}/{arity} not declared in the signature")
-        if not self.domain:
-            raise WorldError("domain must be declared before relations")
-        stripped = rest.strip()
-        leftover = _TUPLE_RE.sub("", stripped).replace(",", "").strip()
-        if leftover:
-            raise WorldError(f"cannot parse relation tuples {rest!r}")
-        rows = []
-        for group in _TUPLE_RE.findall(stripped):
-            names = [n.strip() for n in group.split(",")] if group.strip() else []
-            if len(names) != arity:
-                raise WorldError(
-                    f"tuple ({group}) has {len(names)} elements, expected {arity}"
-                )
-            row = []
-            for n in names:
-                if n not in self.element_names:
-                    raise WorldError(f"unknown element {n!r} in relation {name}")
-                row.append(self.element_names[n])
-            rows.append(tuple(row))
-        return PredicateSymbol(name, arity), rel(arity, rows)
-
-    def fill_defaults(self, pred_map: Dict[PredicateSymbol, Relation]) -> None:
-        """Predicates without a rel line get the empty relation; all
-        signature constants must be mapped."""
-        for name, arity in self.sig.preds:
-            p = PredicateSymbol(name, arity)
-            if p not in pred_map:
-                pred_map[p] = rel(arity, [])
-        missing = sorted(self.sig.consts - set(self.const_map))
-        if missing:
-            raise WorldError(f"constants without denotation: {missing}")
-
-
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
-def load_world(text: str, sig: Signature, name: str = "w") -> World:
-    """Load a single world file: `domain`, optional `reify` and `const`
-    lines, then `rel` lines.  Undeclared predicates default to the
-    empty relation."""
-    state = _WorldFileState(sig)
-    pred_map: Dict[PredicateSymbol, Relation] = {}
-    for lineno, line in _content_lines(text):
-        if m := _DOMAIN_RE.fullmatch(line):
-            state.handle_domain(m)
-        elif m := _REIFY_RE.fullmatch(line):
-            state.handle_reify(m)
-        elif m := _CONST_RE.fullmatch(line):
-            state.handle_const(m)
-        elif m := _REL_RE.fullmatch(line):
-            p, r = state.parse_rel(m)
-            if p in pred_map:
-                raise WorldError(f"line {lineno}: relation for {p} given twice")
-            pred_map[p] = r
-        else:
-            raise WorldError(f"line {lineno}: cannot parse {line!r}")
-    if not state.domain:
-        raise WorldError("world file declares no domain")
-    state.fill_defaults(pred_map)
-    return World(name, state.domain, state.const_map, pred_map, state.element_names)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +340,11 @@ def extensionalize_nomemo(u: Concept, w: World) -> Relation:
 
 def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
     """Direct recursive satisfaction, independent of the concept and
-    relational machinery (atoms are decided by tuple membership)."""
+    relational machinery (atoms are decided by tuple membership).
+
+    Box and Diamond range over every world of w's world set (total
+    accessibility), so they need a world that belongs to one.
+    """
     if isinstance(f, Atom):
         if f.pred == TRUE_PRED:
             return True
@@ -494,6 +366,14 @@ def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
             if tarski_satisfied(f.sub, base, w):
                 return True
         return False
+    if isinstance(f, (Box, Diamond)):
+        ws = w.world_set
+        if ws is None:
+            raise SemanticsError(
+                "box and diamond need a world that belongs to a world set"
+            )
+        over = all if isinstance(f, Box) else any
+        return over(tarski_satisfied(f.sub, g, w2) for w2 in ws.worlds)
     raise SemanticsError(f"not a formula: {f!r}")
 
 

@@ -179,7 +179,24 @@ class Exists:
         return format_formula(self)
 
 
-Formula = Union[Atom, Conj, Neg, Exists]
+@dataclass(frozen=True)
+class Box:
+    """Necessity wrapper: true at w iff true at every world of w's set.
+    Not part of the surface grammar; built programmatically."""
+
+    sub: "Formula"
+
+
+@dataclass(frozen=True)
+class Diamond:
+    """Possibility wrapper: true at w iff true at some world of w's set."""
+
+    sub: "Formula"
+
+
+#: The parser only produces Atom, Conj, Neg and Exists; the modal
+#: wrappers are understood by free_vars and the reference evaluator.
+Formula = Union[Atom, Conj, Neg, Exists, Box, Diamond]
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +266,6 @@ def _check_decl(name: str, kind: str) -> None:
         raise SignatureError(
             f"{kind} name {name!r} falls in the variable lexical class"
         )
-
-
-def load_signature(text: str) -> Signature:
-    """Parse a signature file: lines `pred name/arity`, `const name`,
-    `var name`; blank lines and lines starting with # are skipped."""
-    preds, consts, dvars = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = re.fullmatch(r"pred\s+([A-Za-z]\w*)\s*/\s*(\d+)", line)
-        if m:
-            preds.append((m.group(1), int(m.group(2))))
-            continue
-        m = re.fullmatch(r"const\s+([A-Za-z]\w*)", line)
-        if m:
-            consts.append(m.group(1))
-            continue
-        m = re.fullmatch(r"var\s+([A-Za-z]\w*)", line)
-        if m:
-            dvars.append(m.group(1))
-            continue
-        raise SignatureError(f"line {lineno}: cannot parse {line!r}")
-    return make_signature(preds, consts, dvars)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +656,8 @@ def free_vars(f: Formula) -> Tuple[str, ...]:
         return free_vars(f.sub)
     if isinstance(f, Exists):
         return tuple(v for v in free_vars(f.sub) if v != f.var)
+    if isinstance(f, (Box, Diamond)):
+        return free_vars(f.sub)
     raise IntlogError(f"not a formula: {f!r}")
 
 

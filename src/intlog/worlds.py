@@ -15,18 +15,15 @@ stable across runs and machines.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Union
 
 from .concepts import Concept
 from .errors import IntlogError
 from .relalg import (
-    ConceptHandle,
     DomainElement,
     Particular,
     Relation,
-    complement,
     element_key,
     element_name,
     rel,
@@ -34,29 +31,21 @@ from .relalg import (
 )
 from .semantics import (
     Assignment,
-    SemanticsError,
     World,
     WorldError,
-    _CONST_RE,
-    _DOMAIN_RE,
-    _REIFY_RE,
-    _REL_RE,
-    _WorldFileState,
-    _content_lines,
     extensionalize,
     interpret,
     interpret_abstraction,
     tarski_satisfied,
 )
+# Box and Diamond are defined in syntax and imported here as well,
+# next to satisfies, the one entry point that takes them.
 from .syntax import (
     Abstraction,
     AssignmentError,
-    Atom,
-    Conj,
-    Exists,
+    Box,  # noqa: F401
+    Diamond,  # noqa: F401
     Formula,
-    ID_PRED,
-    Neg,
     PredicateSymbol,
     Signature,
     free_vars,
@@ -228,79 +217,16 @@ def diamond_extension(u: Concept, ws: WorldSet) -> Relation:
 # Kripke satisfaction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Box:
-    """Necessity wrapper: true at w iff true at every world of the set.
-    Not part of the surface grammar; built programmatically."""
-
-    sub: "ModalFormula"
-
-
-@dataclass(frozen=True)
-class Diamond:
-    """Possibility wrapper: true at w iff true at some world."""
-
-    sub: "ModalFormula"
-
-
-ModalFormula = Union[Formula, Box, Diamond]
-
-
-def modal_free_vars(f: ModalFormula) -> tuple:
-    """Free variables in first-occurrence order, looking through the
-    modal wrappers."""
-    if isinstance(f, (Box, Diamond)):
-        return modal_free_vars(f.sub)
-    if isinstance(f, Atom):
-        return free_vars(f)
-    if isinstance(f, Neg):
-        return modal_free_vars(f.sub)
-    if isinstance(f, Conj):
-        left = modal_free_vars(f.left)
-        extra = [v for v in modal_free_vars(f.right) if v not in left]
-        return left + tuple(extra)
-    if isinstance(f, Exists):
-        return tuple(v for v in modal_free_vars(f.sub) if v != f.var)
-    raise SemanticsError(f"not a formula: {f!r}")
-
-
-def satisfies(ws: WorldSet, w: World, g: Assignment, f: ModalFormula) -> bool:
-    """Kripke satisfaction at a member world under a total assignment.
-
-    Atoms are decided by the world's relations, the connectives
-    recursively; an existential whose variable is not free in the body
-    reduces to the body; box and diamond range over every world of the
-    set (total accessibility).
-    """
+def satisfies(ws: WorldSet, w: World, g: Assignment, f: Formula) -> bool:
+    """Kripke satisfaction at a member world under a total assignment:
+    the reference evaluator, whose Box and Diamond range over every
+    world of the set (total accessibility)."""
     if w.world_set is not ws:
         raise WorldError(f"world {w.name} is not a member of world set {ws.name}")
-    missing = [v for v in modal_free_vars(f) if v not in g]
+    missing = [v for v in free_vars(f) if v not in g]
     if missing:
         raise AssignmentError(f"assignment does not cover {missing}")
-    return _sat(ws, w, dict(g), f)
-
-
-def _sat(ws: WorldSet, w: World, g: Dict[str, DomainElement], f: ModalFormula) -> bool:
-    if isinstance(f, Box):
-        return all(_sat(ws, w2, g, f.sub) for w2 in ws.worlds)
-    if isinstance(f, Diamond):
-        return any(_sat(ws, w2, g, f.sub) for w2 in ws.worlds)
-    if isinstance(f, Atom):
-        return tarski_satisfied(f, g, w)
-    if isinstance(f, Neg):
-        return not _sat(ws, w, g, f.sub)
-    if isinstance(f, Conj):
-        return _sat(ws, w, g, f.left) and _sat(ws, w, g, f.right)
-    if isinstance(f, Exists):
-        if f.var not in modal_free_vars(f.sub):
-            return _sat(ws, w, g, f.sub)
-        base = dict(g)
-        for d in w.sorted_domain():
-            base[f.var] = d
-            if _sat(ws, w, base, f.sub):
-                return True
-        return False
-    raise SemanticsError(f"not a formula: {f!r}")
+    return tarski_satisfied(f, g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -382,85 +308,3 @@ def weak_equiv(
     d1, d2 = diamond_extension(u1, ws), diamond_extension(u2, ws)
     ok = d1.same_tuples(d2)
     return EquivReport(ok, "weak", same, len(ws), None, None if ok else _first_diff(d1, d2))
-
-
-# ---------------------------------------------------------------------------
-# world-set files
-# ---------------------------------------------------------------------------
-
-_WORLD_HDR_RE = re.compile(r"world\s+([A-Za-z]\w*)")
-
-
-def load_world_set(text: str, sig: Signature, name: str = "ws") -> WorldSet:
-    """Load a world-set file: a `worlds` header, one shared preamble of
-    `domain`/`const`/`reify` lines, then `world <name>` blocks holding
-    `rel` lines.  Predicates omitted from a block default to empty."""
-    state: Optional[_WorldFileState] = None
-    blocks: list = []
-    current: Optional[Dict[PredicateSymbol, Relation]] = None
-    for lineno, line in _content_lines(text):
-        if state is None:
-            if line != "worlds":
-                raise WorldError(f"line {lineno}: expected the 'worlds' header")
-            state = _WorldFileState(sig)
-            continue
-        if m := _WORLD_HDR_RE.fullmatch(line):
-            bname = m.group(1)
-            if any(b == bname for b, _ in blocks):
-                raise WorldError(f"line {lineno}: duplicate world name {bname!r}")
-            current = {}
-            blocks.append((bname, current))
-        elif m := _REL_RE.fullmatch(line):
-            if current is None:
-                raise WorldError(f"line {lineno}: rel lines belong inside world blocks")
-            p, r = state.parse_rel(m)
-            if p in current:
-                raise WorldError(f"line {lineno}: relation for {p} given twice")
-            current[p] = r
-        elif current is not None:
-            raise WorldError(f"line {lineno}: only rel lines are allowed in a world block")
-        elif m := _DOMAIN_RE.fullmatch(line):
-            state.handle_domain(m)
-        elif m := _REIFY_RE.fullmatch(line):
-            state.handle_reify(m)
-        elif m := _CONST_RE.fullmatch(line):
-            state.handle_const(m)
-        else:
-            raise WorldError(f"line {lineno}: cannot parse {line!r}")
-    if state is None:
-        raise WorldError("expected the 'worlds' header")
-    if not state.domain:
-        raise WorldError("world-set file declares no domain")
-    if not blocks:
-        raise WorldError("world-set file has no world blocks")
-    worlds = []
-    for bname, preds in blocks:
-        pm = dict(preds)
-        state.fill_defaults(pm)
-        worlds.append(World(bname, state.domain, state.const_map, pm, state.element_names))
-    return WorldSet(worlds, name=name)
-
-
-def write_world_set(ws: WorldSet) -> str:
-    """Serialize back to the world-set file syntax.  Reified elements
-    have no term syntax to recover, so sets containing them are
-    rejected."""
-    w0 = ws.worlds[0]
-    if any(isinstance(e, ConceptHandle) for e in w0.domain):
-        raise WorldError("world sets with reified elements cannot be serialized")
-    lines = ["worlds"]
-    elems = sorted(w0.domain, key=element_key)
-    lines.append("domain " + " ".join(element_name(e) for e in elems))
-    for c in sorted(w0.const_map):
-        lines.append(f"const {c} = {element_name(w0.const_map[c])}")
-    for w in ws.worlds:
-        lines.append(f"world {w.name}")
-        for p in sorted(w.pred_map, key=lambda q: (q.name, q.arity)):
-            if p == ID_PRED:
-                continue
-            cells = " ".join(
-                "(" + ", ".join(element_name(e) for e in row) + ")"
-                for row in w.pred_map[p].sorted_tuples()
-            )
-            lines.append(f"rel {p.name}/{p.arity} = {cells}".rstrip())
-    return "\n".join(lines) + "\n"

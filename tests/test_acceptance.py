@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from intlog.concepts import conj, neg, necess, union_concepts
+from intlog.files import load_world_set
 from intlog.gen import corpus_abstractions, corpus_formulas, corpus_signature, random_formulas
 from intlog.relalg import (
     complement,
@@ -47,7 +48,6 @@ from intlog.worlds import (
     box_extension,
     diamond_extension,
     enumerate_worlds,
-    load_world_set,
     strong_equiv,
 )
 

@@ -86,6 +86,11 @@ class TestParse:
         assert code == 2
         assert "error:" in err
 
+    def test_deep_nesting_exits_2(self, paths, capsys):
+        code, _, err = run(capsys, "parse", "--sig", paths["sig"], "~" * 1200 + "p(x)")
+        assert code == 2
+        assert err == "error: formula nested too deeply\n"
+
     def test_records(self, paths, capsys):
         code, out, _ = run(capsys, "parse", "--sig", paths["sig"],
                            "--format", "records", "p(x) & q(x, y)")

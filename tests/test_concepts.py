@@ -135,10 +135,6 @@ class TestInterning:
         n = necess(u1)
         assert n.degree == 1
         assert n is necess(u1)
-        assert n.has_necess
-        assert conj(set(), n, u2).has_necess
-        assert not conj(set(), u1, u2).has_necess
-        assert neg(n).has_necess and exists(1, n) .has_necess
 
     def test_concurrent_interning_is_linearizable(self):
         results = []

@@ -21,6 +21,7 @@ from intlog.concepts import (
     neg,
     union_concepts,
 )
+from intlog.files import load_world
 from intlog.relalg import (
     ConceptHandle,
     FALSE,
@@ -44,7 +45,6 @@ from intlog.semantics import (
     extensionalize_nomemo,
     interpret,
     interpret_abstraction,
-    load_world,
     tarski_eval,
     tarski_satisfied,
 )

@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intlog.files import load_signature
 from intlog.relalg import ConceptHandle, Particular
 from intlog.syntax import (
     ID_PRED,
@@ -29,7 +30,6 @@ from intlog.syntax import (
     free_vars,
     ground,
     ground_term,
-    load_signature,
     make_abstraction,
     make_signature,
     mk_forall,

@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from intlog.concepts import TRUTH_CONCEPT, atom_concept, necess, neg
+from intlog.files import load_world_set, write_world_set
 from intlog.relalg import (
     ConceptHandle,
     FALSE,
@@ -19,6 +20,7 @@ from intlog.relalg import (
     rel,
 )
 from intlog.semantics import (
+    SemanticsError,
     World,
     WorldError,
     extensionalize,
@@ -49,13 +51,10 @@ from intlog.worlds import (
     box_extension,
     diamond_extension,
     enumerate_worlds,
-    load_world_set,
-    modal_free_vars,
     montague_intension,
     satisfies,
     strong_equiv,
     weak_equiv,
-    write_world_set,
 )
 
 A = Particular("a")
@@ -337,12 +336,17 @@ class TestSatisfies:
             assert not satisfies(ws4, w, {}, Box(some_p))
             assert satisfies(ws4, w, {}, Diamond(some_p))
 
+    def test_modal_needs_a_world_set(self):
+        w = World("solo", [A], {}, {P: rel(1, [(A,)])})
+        with pytest.raises(SemanticsError):
+            tarski_satisfied(Box(parse_formula("p(#a)", SIG_P)), {}, w)
+
     def test_modal_free_vars(self):
         px = Atom(P, (Variable("x"),))
         qxy = Atom(Q, (Variable("x"), Variable("y")))
-        assert modal_free_vars(Box(Exists("x", qxy))) == ("y",)
-        assert modal_free_vars(Conj(px, Box(px))) == ("x",)
-        assert modal_free_vars(Diamond(Neg(px))) == ("x",)
+        assert free_vars(Box(Exists("x", qxy))) == ("y",)
+        assert free_vars(Conj(px, Box(px))) == ("x",)
+        assert free_vars(Diamond(Neg(px))) == ("x",)
 
 
 class TestEquivalence:
