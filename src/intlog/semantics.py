@@ -16,11 +16,13 @@ Abstraction terms: `interpret_abstraction` maps << f >>_{a}^{b} to the
 union, over all instantiations of the beta variables by domain
 elements, of the interpretation of the instantiated body; with empty
 beta it is just the interpretation of the body.  When an abstraction
-occurs as an argument inside a formula, `interpret` embeds that union
-concept as a single reified element, while the reference evaluator
-resolves the term per assignment; the two agree on beta-closed
-arguments, which is why generated formulas keep argument abstractions
-beta-closed.
+occurs as an argument inside a formula, `interpret` embeds its concept
+as a single reified element, while the reference evaluator resolves
+the term per assignment.  The two agree only on beta-closed arguments:
+an open beta variable is free in the formula but would vanish from the
+compiled concept, so `interpret` rejects such an argument with an
+AbstractionError.  Grounding closes it (`ground` instantiates the beta
+variables), and `assignment_extend` resolves it per assignment.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from .relalg import (
 )
 from .syntax import (
     Abstraction,
+    AbstractionError,
     AssignmentError,
     Atom,
     Box,
@@ -177,6 +180,11 @@ def _term_element(t: Term, w: Optional[World]) -> DomainElement:
             raise SemanticsError(f"unknown element #{t.name} in world {w.name}")
         return w.element_names[t.name]
     if isinstance(t, Abstraction):
+        if t.beta:
+            raise AbstractionError(
+                f"abstraction argument {t} has open beta variables"
+                f" {', '.join(t.beta)}"
+            )
         return ConceptHandle(interpret_abstraction(t, w).cid)
     raise SemanticsError(f"not a ground term: {t}")
 
@@ -260,26 +268,32 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
 # step two: concepts to relations, per world
 # ---------------------------------------------------------------------------
 
+def atom_row(u: Concept, row: tuple) -> Optional[tuple]:
+    """The tuple a base-relation row contributes to an atom concept's
+    extension: the row's values at the slots, in slot order.  None when
+    the row does not match the pattern (an element differs from a fixed
+    argument, or a repeated slot sees two elements)."""
+    vals: Dict[int, DomainElement] = {}
+    for elem, arg in zip(row, u.args):
+        if isinstance(arg, int):
+            if vals.setdefault(arg, elem) != elem:
+                return None
+        elif arg != elem:
+            return None
+    return tuple(vals[i] for i in range(1, u.degree + 1))
+
+
+def no_relation_error(pred: PredicateSymbol, w: World) -> SemanticsError:
+    return SemanticsError(f"predicate {pred} has no relation in world {w.name}")
+
+
 def _atom_extension(u: Concept, w: World) -> Relation:
     base = w.pred_map.get(u.pred)
     if base is None:
-        raise SemanticsError(f"predicate {u.pred} has no relation in world {w.name}")
-    m = u.degree
-    out = set()
-    for row in base.tuples:
-        vals: Dict[int, DomainElement] = {}
-        ok = True
-        for elem, arg in zip(row, u.args):
-            if isinstance(arg, int):
-                if vals.setdefault(arg, elem) != elem:
-                    ok = False
-                    break
-            elif arg != elem:
-                ok = False
-                break
-        if ok:
-            out.add(tuple(vals[i] for i in range(1, m + 1)))
-    return Relation(m, out)
+        raise no_relation_error(u.pred, w)
+    out = {atom_row(u, row) for row in base.tuples}
+    out.discard(None)
+    return Relation(u.degree, out)
 
 
 def _ext(u: Concept, w: World, memo: Optional[Dict[int, Relation]]) -> Relation:
@@ -352,7 +366,7 @@ def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
             return assignment_extend(f.args[0], g, w) == assignment_extend(f.args[1], g, w)
         base = w.pred_map.get(f.pred)
         if base is None:
-            raise SemanticsError(f"predicate {f.pred} has no relation in world {w.name}")
+            raise no_relation_error(f.pred, w)
         row = tuple(assignment_extend(t, g, w) for t in f.args)
         return row in base.tuples
     if isinstance(f, Conj):

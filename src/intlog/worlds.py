@@ -7,6 +7,14 @@ that are defined against "all" extensionalization functions are
 evaluated relative to the set, which is the only finite reading; every
 report therefore carries the member count.
 
+Box, diamond and the two equivalences are evaluated over the whole set
+at once: `masks` maps each tuple of a concept to a world bitmask (bit i
+set iff the tuple is in the concept's extension in member i), and every
+concept kind becomes an operation on those (tuple -> bitmask) tables,
+the way a symbolic model checker evaluates a formula over a set of
+states.  `semantics.extensionalize` stays the per-world route, so the
+two can be checked against each other world by world.
+
 Besides explicit files, small signatures can be swept exhaustively:
 `enumerate_worlds` produces every assignment of extensions to the
 declared predicates in a fixed order, so world names like w13 are
@@ -26,16 +34,20 @@ from .relalg import (
     Relation,
     element_key,
     element_name,
+    join_spec_ok,
     rel,
     tuple_key,
 )
 from .semantics import (
     Assignment,
+    SemanticsError,
     World,
     WorldError,
+    atom_row,
     extensionalize,
     interpret,
     interpret_abstraction,
+    no_relation_error,
     tarski_satisfied,
 )
 # Box and Diamond are defined in syntax and imported here as well,
@@ -65,13 +77,19 @@ class EquivError(IntlogError):
 DEFAULT_LIMIT = 1 << 20
 
 
+#: A concept's extension over a world set: tuple -> world bitmask.
+Masks = Dict[tuple, int]
+
+
 class WorldSet:
     """An ordered family of worlds sharing domain and constant map.
 
     Member worlds are private copies of the ones passed in (with fresh
     extension memos) and carry a back reference, which is what lets a
     necess concept find its quantification range during
-    extensionalization.
+    extensionalization.  The set itself keeps the world-bitmask tables
+    of `masks`: the base relations, scanned on first use, and a memo per
+    concept id.
     """
 
     def __init__(self, worlds: Iterable[World], name: str = "ws"):
@@ -93,6 +111,11 @@ class WorldSet:
             c.world_set = self
             self.worlds.append(c)
             self._by_name[w.name] = c
+        #: The bitmask of every member world.
+        self.all_mask = (1 << len(self.worlds)) - 1
+        self._base: Optional[Dict[PredicateSymbol, Masks]] = None
+        self._partial = False  # some predicate lacks a relation in some member
+        self._masks: Dict[int, Masks] = {}
 
     @property
     def domain(self):
@@ -115,6 +138,8 @@ class WorldSet:
     def clear_memos(self) -> None:
         for w in self.worlds:
             w.clear_memo()
+        self._base = None
+        self._masks.clear()
 
 
 def enumerate_worlds(
@@ -201,16 +226,158 @@ def montague_intension(f: Formula, ws: WorldSet) -> Intension:
     return Intension(u, {w.name: extensionalize(u, w) for w in ws.worlds})
 
 
+# ---------------------------------------------------------------------------
+# world-set evaluation: tuple -> world bitmask
+# ---------------------------------------------------------------------------
+
+def _base_masks(ws: WorldSet) -> Dict[PredicateSymbol, Masks]:
+    """Every member's base relations as (tuple -> bitmask) tables, from
+    one scan of the pred_maps.  Bits are gathered in byte arrays and
+    converted once per tuple, so the scan costs no big-int arithmetic."""
+    if ws._base is None:
+        nbytes = (len(ws.worlds) + 7) // 8
+        bits: Dict[PredicateSymbol, Dict[tuple, bytearray]] = {}
+        for i, w in enumerate(ws.worlds):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for p, r in w.pred_map.items():
+                table = bits.setdefault(p, {})
+                for t in r.tuples:
+                    b = table.get(t)
+                    if b is None:
+                        b = table[t] = bytearray(nbytes)
+                    b[byte] |= bit
+        ws._partial = any(p not in w.pred_map for w in ws.worlds for p in bits)
+        ws._base = {
+            p: {t: int.from_bytes(b, "little") for t, b in table.items()}
+            for p, table in bits.items()
+        }
+    return ws._base
+
+
+def _check_relations(ws: WorldSet, us: Iterable[Concept]) -> None:
+    """When some member lacks a relation that another has, raise the
+    error the per-world route would raise first for these concepts:
+    worlds in set order, concepts in evaluation order, and a necess
+    subterm in every world as soon as it is reached.  (A relation that
+    every member lacks fails at its atom, naming the first world.)"""
+    _base_masks(ws)
+    if not ws._partial:
+        return
+    seen = set()
+
+    def walk(u: Concept, i: int) -> None:
+        if (u.cid, i) in seen:
+            return
+        seen.add((u.cid, i))
+        w = ws.worlds[i]
+        if u.kind == "atom" and u.pred not in w.pred_map:
+            raise no_relation_error(u.pred, w)
+        for j in range(len(ws.worlds)) if u.kind == "necess" else (i,):
+            for sub in u.subs:
+                walk(sub, j)
+
+    for i in range(len(ws.worlds)):
+        for u in us:
+            walk(u, i)
+
+
+def masks(u: Concept, ws: WorldSet) -> Masks:
+    """The concept's extension in every member at once: each tuple maps
+    to an int whose bit i is set iff the tuple is in u's extension in
+    ws.worlds[i].  Tuples in no member's extension are left out.
+    Memoized per concept on the set until `clear_memos`.
+
+    Raises:
+        SemanticsError: if a member has no relation for a predicate of
+            u, naming the member the per-world route would name.
+    """
+    if u.cid not in ws._masks:
+        _check_relations(ws, (u,))
+    return _masks(u, ws)
+
+
+def _masks(u: Concept, ws: WorldSet) -> Masks:
+    found = ws._masks.get(u.cid)
+    if found is not None:
+        return found
+    full = ws.all_mask
+    kind = u.kind
+    out: Masks = {}
+    if kind == "atom":
+        table = _base_masks(ws).get(u.pred)
+        if table is None:
+            raise no_relation_error(u.pred, ws.worlds[0])
+        for row, m in table.items():
+            t = atom_row(u, row)
+            if t is not None:
+                out[t] = out.get(t, 0) | m
+    elif kind == "conj":
+        left, right = (_masks(v, ws) for v in u.subs)
+        out = _join_masks(left, right, u.s, u.subs[0].degree, u.subs[1].degree)
+    elif kind == "neg":
+        sub = _masks(u.subs[0], ws)
+        dom = ws.worlds[0].sorted_domain()
+        for t in itertools.product(dom, repeat=u.degree):
+            m = full & ~sub.get(t, 0)
+            if m:
+                out[t] = m
+    elif kind == "exists":
+        n = u.n
+        for t, m in _masks(u.subs[0], ws).items():
+            rest = t[: n - 1] + t[n:]
+            out[rest] = out.get(rest, 0) | m
+    elif kind == "union":
+        for member in u.subs:
+            for t, m in _masks(member, ws).items():
+                out[t] = out.get(t, 0) | m
+    elif kind == "necess":
+        out = {t: full for t, m in _masks(u.subs[0], ws).items() if m == full}
+    elif kind == "id":
+        out = {(d, d): full for d in ws.worlds[0].sorted_domain()}
+    elif kind == "truth":
+        out = {(): full}
+    else:
+        raise SemanticsError(f"unknown concept kind {kind!r}")
+    ws._masks[u.cid] = out
+    return out
+
+
+def _join_masks(left: Masks, right: Masks, s, k: int, j: int) -> Masks:
+    """Hash join on the index pairs in s, ANDing the masks; like
+    relalg.natural_join, an empty or ill-formed s gives the cartesian
+    product."""
+    out: Masks = {}
+    if not (s and join_spec_ok(s, k, j)):
+        for t1, m1 in left.items():
+            for t2, m2 in right.items():
+                m = m1 & m2
+                if m:
+                    out[t1 + t2] = m
+        return out
+    pairs = sorted(s)
+    drop = {i2 for _, i2 in pairs}
+    keep = [i - 1 for i in range(1, j + 1) if i not in drop]
+    index: Dict[tuple, list] = {}
+    for t2, m2 in right.items():
+        key = tuple(t2[i2 - 1] for _, i2 in pairs)
+        index.setdefault(key, []).append((tuple(t2[i] for i in keep), m2))
+    for t1, m1 in left.items():
+        for rest, m2 in index.get(tuple(t1[i1 - 1] for i1, _ in pairs), ()):
+            m = m1 & m2
+            if m:
+                out[t1 + rest] = m
+    return out
+
+
 def box_extension(u: Concept, ws: WorldSet) -> Relation:
     """Intersection of the concept's extensions over all worlds."""
-    parts = [frozenset(extensionalize(u, w).tuples) for w in ws.worlds]
-    return Relation(u.degree, frozenset.intersection(*parts))
+    full = ws.all_mask
+    return Relation(u.degree, frozenset(t for t, m in masks(u, ws).items() if m == full))
 
 
 def diamond_extension(u: Concept, ws: WorldSet) -> Relation:
     """Union of the concept's extensions over all worlds."""
-    parts = [frozenset(extensionalize(u, w).tuples) for w in ws.worlds]
-    return Relation(u.degree, frozenset.union(*parts))
+    return Relation(u.degree, frozenset(masks(u, ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +454,27 @@ def strong_equiv(
     """Equal extensions in every world of the set, comparing columns in
     body free-variable order (the alpha lists only select which
     variables are abstracted; their names and order are bound and do
-    not survive into the concepts)."""
+    not survive into the concepts).
+
+    The witness is the first world that tells the two apart, with the
+    least tuple (by tuple_key) in exactly one of the two extensions
+    there; concepts of different degree differ in the first world,
+    with no tuple."""
     u1, u2 = _grounded_concepts(t1, t2, g, ws)
     same = u1 is u2
-    for w in ws.worlds:
-        r1, r2 = extensionalize(u1, w), extensionalize(u2, w)
-        if r1.arity != r2.arity or r1.tuples != r2.tuples:
-            return EquivReport(
-                False, "strong", same, len(ws), w.name, _first_diff(r1, r2)
-            )
-    return EquivReport(True, "strong", same, len(ws))
+    if u1.degree != u2.degree:
+        return EquivReport(False, "strong", same, len(ws), ws.worlds[0].name)
+    _check_relations(ws, (u1, u2))
+    m1, m2 = _masks(u1, ws), _masks(u2, ws)
+    diffs = {t: m1.get(t, 0) ^ m2.get(t, 0) for t in m1.keys() | m2.keys()}
+    anywhere = 0
+    for d in diffs.values():
+        anywhere |= d
+    if not anywhere:
+        return EquivReport(True, "strong", same, len(ws))
+    i = (anywhere & -anywhere).bit_length() - 1
+    row = min((t for t, d in diffs.items() if d >> i & 1), key=tuple_key)
+    return EquivReport(False, "strong", same, len(ws), ws.worlds[i].name, row)
 
 
 def weak_equiv(

@@ -219,6 +219,17 @@ class TestCheckDiagram:
         assert code == 2
         assert ":2:" in err
 
+    def test_open_beta_argument_exits_2(self, paths, capsys):
+        # the reference would keep x free while the concept route drops
+        # it, so the formula is refused instead of reported as a mismatch
+        src = paths["dir"] / "open.txt"
+        src.write_text("p(<< q(x, y) >>_{y}^{x})\n")
+        code, out, err = run(capsys, "check-diagram", "--sig", paths["sig"],
+                             "--world", paths["w1"], "--formulas", str(src))
+        assert code == 2
+        assert "MISMATCH" not in out
+        assert "open beta variables x" in err
+
     def test_enumerate_source(self, paths, capsys):
         code, out, _ = run(capsys, "check-diagram", "--sig", paths["sig"],
                            "--enumerate", "a,b", "--const", "c=a",

@@ -59,6 +59,7 @@ from intlog.syntax import (
     PredicateSymbol,
     Variable,
     free_vars,
+    ground,
     make_abstraction,
     make_signature,
     parse_formula,
@@ -413,13 +414,16 @@ class TestAbstractionExtensions:
         assert r1.attrs == ("x", "y")
         assert rel_equiv(r1, r2)
 
-    def test_beta_open_argument_drops_labels(self, w1):
-        # the argument's reification makes the compiled degree 1 while
-        # the formula has two free variables, so no labels are attached
+    def test_beta_open_argument_rejected(self, w1):
+        # y is free in the formula but would vanish into the reified
+        # argument, so the concept route refuses the argument
         f = parse("q(x, << q(z, y) >>_{z}^{y})")
         assert free_vars(f) == ("x", "y")
-        r = eval_formula(f, w1)
-        assert r.arity == 1 and r.attrs is None
+        with pytest.raises(AbstractionError, match="open beta variables y"):
+            eval_formula(f, w1)
+        # grounding closes the argument, and both routes then agree
+        g = {"x": A, "y": B}
+        assert check_diagram(ground(f, g), w1).ok
 
 
 class TestMemo:

@@ -5,11 +5,21 @@ The 4-world fixture is the full enumeration over {p/1}, D = {a, b};
 its order is pinned by the bitmask convention: w0 empty, w1 {(a)},
 w2 {(b)}, w3 {(a), (b)}.
 """
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from intlog.concepts import TRUTH_CONCEPT, atom_concept, necess, neg
+from intlog.concepts import (
+    TRUTH_CONCEPT,
+    atom_concept,
+    conj,
+    exists,
+    necess,
+    neg,
+    union_concepts,
+)
 from intlog.files import load_world_set, write_world_set
 from intlog.relalg import (
     ConceptHandle,
@@ -18,6 +28,7 @@ from intlog.relalg import (
     TRUE,
     complement,
     rel,
+    tuple_key,
 )
 from intlog.semantics import (
     SemanticsError,
@@ -27,9 +38,11 @@ from intlog.semantics import (
     extensionalize_nomemo,
     ground,
     interpret,
+    interpret_abstraction,
     tarski_satisfied,
 )
 from intlog.syntax import (
+    ID_PRED,
     AssignmentError,
     Atom,
     Conj,
@@ -38,6 +51,7 @@ from intlog.syntax import (
     PredicateSymbol,
     Variable,
     free_vars,
+    ground_term,
     make_signature,
     parse_formula,
     parse_term,
@@ -47,10 +61,12 @@ from intlog.worlds import (
     Diamond,
     EnumerationError,
     EquivError,
+    EquivReport,
     WorldSet,
     box_extension,
     diamond_extension,
     enumerate_worlds,
+    masks,
     montague_intension,
     satisfies,
     strong_equiv,
@@ -181,6 +197,16 @@ class TestWorldSet:
         assert any(w._memo for w in ws4)
         ws4.clear_memos()
         assert all(not w._memo for w in ws4)
+
+    def test_clear_memos_drops_world_bitmasks(self):
+        ws = enumerate_worlds(SIG_P, ["a", "b"])
+        u = interpret(parse_formula("~p(x)", SIG_P))
+        assert box_extension(u, ws) == rel(1, [])
+        assert ws._masks and ws._base
+        ws.clear_memos()
+        assert ws._masks == {} and ws._base is None
+        # rebuilt on the next use
+        assert diamond_extension(u, ws) == rel(1, [(A,), (B,)])
 
 
 class TestMontague:
@@ -451,6 +477,239 @@ class TestEquivalence:
         t2 = parse_term("<< q(x, y) >>_{x,y}", SIG_PQ)
         with pytest.raises(EquivError, match="alpha arity"):
             strong_equiv(t1, t2, {}, ws64)
+
+
+class TestMissingRelation:
+    """A hand-built set may lack a relation; the whole-set route names
+    the member the per-world route would name."""
+
+    @pytest.fixture
+    def ws(self):
+        return WorldSet([
+            World("m0", (A, B), {}, {P: rel(1, [(A,)]), Q: rel(2, [(A, B)])}),
+            World("m1", (A, B), {}, {P: rel(1, [(B,)])}),
+            World("m2", (A, B), {}, {}),
+        ])
+
+    @pytest.mark.parametrize("modal", [box_extension, diamond_extension])
+    def test_box_and_diamond(self, ws, modal):
+        with pytest.raises(SemanticsError, match=r"^predicate q/2 has no relation in world m1$"):
+            modal(atom_concept(Q, (1, 2)), ws)
+        with pytest.raises(SemanticsError, match=r"^predicate p/1 has no relation in world m2$"):
+            modal(atom_concept(P, (1,)), ws)
+        # p is evaluated first, but q is missing from an earlier world
+        pq = interpret(parse_formula("p(x) & q(x, y)", SIG_PQ))
+        with pytest.raises(SemanticsError, match=r"^predicate q/2 has no relation in world m1$"):
+            modal(pq, ws)
+
+    def test_necess_reaches_every_world_first(self, ws):
+        # per world, necess evaluates its body in every member before
+        # the next conjunct is reached
+        u = conj(frozenset(), necess(atom_concept(P, (1,))), atom_concept(Q, (1, 2)))
+        with pytest.raises(SemanticsError, match=r"^predicate p/1 has no relation in world m2$"):
+            box_extension(u, ws)
+
+    def test_equivalences(self, ws):
+        t1 = parse_term("<< p(x) >>_{x}", SIG_PQ)
+        t2 = parse_term("<< exists y . q(x, y) >>_{x}", SIG_PQ)
+        # strong compares world by world, so q fails first, in m1
+        with pytest.raises(SemanticsError, match=r"^predicate q/2 has no relation in world m1$"):
+            strong_equiv(t1, t2, {}, ws)
+        # weak takes the first term's diamond before the second's
+        with pytest.raises(SemanticsError, match=r"^predicate p/1 has no relation in world m2$"):
+            weak_equiv(t1, t2, {}, ws)
+
+
+# ---------------------------------------------------------------------------
+# the third corner: world bitmasks against per-world extensions
+# ---------------------------------------------------------------------------
+
+#: A reified concept: the element `unicorn` of the file-loaded set, and
+#: a domain element of one enumerated set.
+HANDLE = ConceptHandle(atom_concept(P, (1,)).cid)
+
+WS_FILE = (
+    "worlds\ndomain a b\n"
+    "reify unicorn = << p(x) >>_{x}\n"
+    "world v1\nrel p/1 = (a) (unicorn)\nrel q/2 = (a, unicorn) (b, b)\n"
+    "world v2\nrel p/1 =\nrel q/2 = (b, b) (unicorn, a)\n"
+    "world v3\nrel p/1 = (a) (b) (unicorn)\nrel q/2 = (a, a) (a, b)\n"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _world_sets():
+    return (
+        enumerate_worlds(SIG_PQ, ["a", "b"]),
+        enumerate_worlds(SIG_PQ, [A, HANDLE]),
+        load_world_set(WS_FILE, SIG_PQ),
+    )
+
+
+#: Abstractions with beta variables: interpreted, they are unions.
+BETA_TERMS = [
+    parse_term(t, SIG_PQ)
+    for t in (
+        "<< q(x, y) >>_{x}^{y}",
+        "<< q(x, y) & ~p(y) >>_{y}^{x}",
+        "<< p(x) & ~p(y) >>_{}^{x,y}",
+        "<< exists z . (q(x, z) & q(z, y)) >>_{x}^{y}",
+    )
+]
+
+
+@st.composite
+def atoms(draw):
+    """Atoms over p, q and identity, with repeated slots and fixed
+    particulars or reified handles."""
+    pred = draw(st.sampled_from((P, Q, ID_PRED)))
+    args, slots = [], 0
+    for _ in range(pred.arity):
+        pick = draw(st.integers(0, slots + 1))  # 0 fixed, 1..slots repeat, else new
+        if pick == 0:
+            args.append(draw(st.sampled_from((A, B, HANDLE))))
+        elif pick <= slots:
+            args.append(pick)
+        else:
+            slots += 1
+            args.append(slots)
+    return atom_concept(pred, args)
+
+
+@st.composite
+def concepts(draw, ws, depth=3, necess_ok=True):
+    """Random concepts of every kind, degree at most 4.  At most one
+    necess, which keeps the per-world reference at N^2 evaluations."""
+    kinds = ["atom", "atom", "abstraction", "truth"]
+    if depth:
+        kinds += ["conj", "conj", "neg", "exists", "union"] + ["necess"] * necess_ok
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(atoms())
+    if kind == "abstraction":
+        return interpret_abstraction(draw(st.sampled_from(BETA_TERMS)), ws.worlds[0])
+    if kind == "truth":
+        return TRUTH_CONCEPT
+    u = draw(concepts(ws, depth - 1, necess_ok and kind != "necess"))
+    if kind == "neg":
+        return neg(u) if u.degree <= 3 else u
+    if kind == "exists":
+        return exists(draw(st.integers(0, u.degree + 1)), u)
+    if kind == "necess":
+        return necess(u)
+    v = draw(concepts(ws, depth - 1, necess_ok and not _has_necess(u)))
+    if kind == "union":
+        other = v if v.degree == u.degree else conj((), u, TRUTH_CONCEPT)
+        return union_concepts([u, other])
+    # pairs may point outside either side or repeat a right column;
+    # such an s is ill formed and the join is a cartesian product
+    pair = st.tuples(st.integers(0, u.degree + 1), st.integers(0, v.degree + 1))
+    c = conj(draw(st.frozensets(pair, max_size=3)), u, v)
+    return c if c.degree <= 4 else u
+
+
+def _has_necess(u):
+    return u.kind == "necess" or any(_has_necess(v) for v in u.subs)
+
+
+@st.composite
+def set_and_concept(draw):
+    ws = draw(st.sampled_from(_world_sets()))
+    return ws, draw(concepts(ws))
+
+
+#: Equivalence candidates, grouped by alpha arity.
+EQUIV_TERMS = [
+    [parse_term(t, SIG_PQ) for t in group]
+    for group in (
+        (
+            "<< exists x . p(x) >>_{}",
+            "<< exists x . q(x, x) >>_{}",
+            "<< p(y) >>_{}^{y}",
+            "<< forall x . p(x) >>_{}",
+            "<< q(x, y) >>_{}^{x,y}",
+        ),
+        (
+            "<< p(x) >>_{x}",
+            "<< ~p(x) >>_{x}",
+            "<< p(x) | ~p(x) >>_{x}",
+            "<< q(x, x) >>_{x}",
+            "<< exists y . q(x, y) >>_{x}",
+            "<< q(x, y) >>_{x}^{y}",
+            "<< q(y, x) >>_{x}^{y}",
+            "<< p(x) & q(x, y) >>_{x}^{y}",
+            "<< x == y >>_{x}^{y}",
+        ),
+        (
+            "<< q(x, y) >>_{x,y}",
+            "<< q(y, x) >>_{x,y}",
+            "<< p(x) & p(y) >>_{x,y}",
+            "<< q(x, y) & ~q(y, x) >>_{x,y}",
+            "<< q(x, y) & x == y >>_{x,y}",
+        ),
+    )
+]
+
+
+def _reference_concepts(t1, t2, g, ws):
+    return [interpret_abstraction(ground_term(t, g), ws.worlds[0]) for t in (t1, t2)]
+
+
+def reference_strong(t1, t2, g, ws):
+    """strong_equiv world by world, through the per-world route."""
+    u1, u2 = _reference_concepts(t1, t2, g, ws)
+    for w in ws.worlds:
+        r1, r2 = extensionalize(u1, w), extensionalize(u2, w)
+        if r1.arity != r2.arity or r1.tuples != r2.tuples:
+            row = min(r1.tuples ^ r2.tuples, key=tuple_key) if r1.arity == r2.arity else None
+            return EquivReport(False, "strong", u1 is u2, len(ws), w.name, row)
+    return EquivReport(True, "strong", u1 is u2, len(ws))
+
+
+def reference_weak(t1, t2, g, ws):
+    """weak_equiv as the union of per-world extensions."""
+    u1, u2 = _reference_concepts(t1, t2, g, ws)
+    d1, d2 = (
+        frozenset().union(*(extensionalize(u, w).tuples for w in ws.worlds))
+        for u in (u1, u2)
+    )
+    ok = u1.degree == u2.degree and d1 == d2
+    row = None if ok or u1.degree != u2.degree else min(d1 ^ d2, key=tuple_key)
+    return EquivReport(ok, "weak", u1 is u2, len(ws), None, row)
+
+
+class TestWorldBitmasks:
+    @settings(max_examples=150, deadline=None)
+    @given(set_and_concept())
+    def test_bit_i_is_membership_in_world_i(self, drawn):
+        ws, u = drawn
+        table = masks(u, ws)
+        assert all(m for m in table.values())
+        for i, w in enumerate(ws.worlds):
+            assert {t for t, m in table.items() if m >> i & 1} == (
+                extensionalize_nomemo(u, w).tuples
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equivalences_match_the_per_world_loop(self, data):
+        ws = data.draw(st.sampled_from(_world_sets()))
+        group = data.draw(st.sampled_from(EQUIV_TERMS))
+        t1, t2 = data.draw(st.sampled_from(group)), data.draw(st.sampled_from(group))
+        dom = ws.worlds[0].sorted_domain()
+        g = {v: data.draw(st.sampled_from(dom)) for v in sorted(set(t1.beta) | set(t2.beta))}
+        for fast, slow in ((strong_equiv, reference_strong), (weak_equiv, reference_weak)):
+            got, want = fast(t1, t2, g, ws), slow(t1, t2, g, ws)
+            assert got == want
+            assert str(got) == str(want)
+
+    def test_box_and_diamond_read_the_masks(self, ws64):
+        u = interpret(parse_formula("q(x, y) | p(x)", SIG_PQ))
+        table = masks(u, ws64)
+        assert box_extension(u, ws64).tuples == {
+            t for t, m in table.items() if m == ws64.all_mask
+        }
+        assert diamond_extension(u, ws64).tuples == set(table)
 
 
 class TestWorldSetFiles:
