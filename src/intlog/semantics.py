@@ -96,7 +96,8 @@ class World:
 
     The identity predicate is populated automatically and cannot be
     overridden.  Worlds are immutable after construction apart from the
-    extension memo, which caches extensionalize results per concept id.
+    extension memo, which caches extensionalize results per concept id,
+    and the back reference to the one WorldSet that adopts the world.
     """
 
     def __init__(
@@ -136,7 +137,7 @@ class World:
                             f"tuple element {element_name(e)} of {p} not in domain"
                         )
         self.pred_map[ID_PRED] = identity_relation(self.domain)
-        self.world_set = None  # set once when a WorldSet adopts a copy
+        self.world_set = None  # set once, when a WorldSet adopts this world
         self._memo: Dict[int, Relation] = {}
         self._sorted = sorted(self.domain, key=element_key)
 
@@ -145,15 +146,6 @@ class World:
 
     def clear_memo(self) -> None:
         self._memo.clear()
-
-    def copy(self) -> "World":
-        return World(
-            self.name,
-            self.domain,
-            self.const_map,
-            {p: r for p, r in self.pred_map.items() if p != ID_PRED},
-            self.element_names,
-        )
 
     def __repr__(self) -> str:
         return f"<world {self.name}: |D|={len(self.domain)}>"
@@ -325,6 +317,10 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[int, Relation]]) -> Relation:
         ]
         common = frozenset.intersection(*(frozenset(p.tuples) for p in tuple_sets))
         r = Relation(u.degree, common)
+        if memo is not None:
+            # rigid: the same relation in every member, so memoize it there
+            for w2 in ws.worlds:
+                w2._memo[u.cid] = r
     elif kind == "id":
         r = w.pred_map[ID_PRED]
     elif kind == "truth":

@@ -607,13 +607,19 @@ def validate_abstraction(t: Abstraction) -> None:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse and desugar a formula."""
-    return _Parser(_lex(text), sig).formula()
+    try:
+        return _Parser(_lex(text), sig).formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a single term (the whole text must be one term)."""
     p = _Parser(_lex(text), sig)
-    t = p.term()
+    try:
+        t = p.term()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")

@@ -1,11 +1,13 @@
 """World sets and the modal layer on top of them.
 
-A WorldSet is a finite, ordered family of worlds over one shared domain
-and constant map (constants are rigid designators).  Accessibility is
-total, so box and diamond quantify over every member.  Modal notions
-that are defined against "all" extensionalization functions are
-evaluated relative to the set, which is the only finite reading; every
-report therefore carries the member count.
+A WorldSet is a finite, ordered family of worlds over one shared domain,
+constant map (constants are rigid designators) and set of predicate
+symbols.  It adopts the worlds it is given, without copying them, and
+each member points back to its one set.  Accessibility is total, so box
+and diamond quantify over every member.  Modal notions that are defined
+against "all" extensionalization functions are evaluated relative to
+the set, which is the only finite reading; every report therefore
+carries the member count.
 
 Box, diamond and the two equivalences are evaluated over the whole set
 at once: `masks` maps each tuple of a concept to a world bitmask (bit i
@@ -82,13 +84,16 @@ Masks = Dict[tuple, int]
 
 
 class WorldSet:
-    """An ordered family of worlds sharing domain and constant map.
+    """An ordered family of worlds sharing domain, constant map and
+    predicate symbols.
 
-    Member worlds are private copies of the ones passed in (with fresh
-    extension memos) and carry a back reference, which is what lets a
-    necess concept find its quantification range during
-    extensionalization.  The set itself keeps the world-bitmask tables
-    of `masks`: the base relations, scanned on first use, and a memo per
+    The set adopts the worlds it is given: each member gets a back
+    reference to the set, which is what lets a necess concept (and Box
+    and Diamond in the reference evaluator) find its quantification
+    range, so a world belongs to at most one set.  Every member is
+    checked before any is adopted, so a rejected set leaves the worlds
+    as they were.  The set itself keeps the world-bitmask tables of
+    `masks`: the base relations, scanned on first use, and a memo per
     concept id.
     """
 
@@ -97,24 +102,28 @@ class WorldSet:
         if not members:
             raise WorldError("a world set needs at least one world")
         first = members[0]
-        self.name = name
-        self.worlds = []
         self._by_name: Dict[str, World] = {}
         for w in members:
             if w.domain != first.domain:
                 raise WorldError(f"world {w.name} has a different domain")
             if w.const_map != first.const_map:
                 raise WorldError(f"world {w.name} has different constant denotations")
+            if w.pred_map.keys() != first.pred_map.keys():
+                raise WorldError(f"world {w.name} has different predicates")
             if w.name in self._by_name:
                 raise WorldError(f"duplicate world name {w.name!r}")
-            c = w.copy()
-            c.world_set = self
-            self.worlds.append(c)
-            self._by_name[w.name] = c
+            if w.world_set is not None:
+                raise WorldError(
+                    f"world {w.name} already belongs to world set {w.world_set.name}"
+                )
+            self._by_name[w.name] = w
+        for w in members:
+            w.world_set = self
+        self.name = name
+        self.worlds = members
         #: The bitmask of every member world.
-        self.all_mask = (1 << len(self.worlds)) - 1
+        self.all_mask = (1 << len(members)) - 1
         self._base: Optional[Dict[PredicateSymbol, Masks]] = None
-        self._partial = False  # some predicate lacks a relation in some member
         self._masks: Dict[int, Masks] = {}
 
     @property
@@ -246,39 +255,11 @@ def _base_masks(ws: WorldSet) -> Dict[PredicateSymbol, Masks]:
                     if b is None:
                         b = table[t] = bytearray(nbytes)
                     b[byte] |= bit
-        ws._partial = any(p not in w.pred_map for w in ws.worlds for p in bits)
         ws._base = {
             p: {t: int.from_bytes(b, "little") for t, b in table.items()}
             for p, table in bits.items()
         }
     return ws._base
-
-
-def _check_relations(ws: WorldSet, us: Iterable[Concept]) -> None:
-    """When some member lacks a relation that another has, raise the
-    error the per-world route would raise first for these concepts:
-    worlds in set order, concepts in evaluation order, and a necess
-    subterm in every world as soon as it is reached.  (A relation that
-    every member lacks fails at its atom, naming the first world.)"""
-    _base_masks(ws)
-    if not ws._partial:
-        return
-    seen = set()
-
-    def walk(u: Concept, i: int) -> None:
-        if (u.cid, i) in seen:
-            return
-        seen.add((u.cid, i))
-        w = ws.worlds[i]
-        if u.kind == "atom" and u.pred not in w.pred_map:
-            raise no_relation_error(u.pred, w)
-        for j in range(len(ws.worlds)) if u.kind == "necess" else (i,):
-            for sub in u.subs:
-                walk(sub, j)
-
-    for i in range(len(ws.worlds)):
-        for u in us:
-            walk(u, i)
 
 
 def masks(u: Concept, ws: WorldSet) -> Masks:
@@ -288,15 +269,9 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
     Memoized per concept on the set until `clear_memos`.
 
     Raises:
-        SemanticsError: if a member has no relation for a predicate of
-            u, naming the member the per-world route would name.
+        SemanticsError: if u has a predicate the members have no
+            relation for, naming the first member.
     """
-    if u.cid not in ws._masks:
-        _check_relations(ws, (u,))
-    return _masks(u, ws)
-
-
-def _masks(u: Concept, ws: WorldSet) -> Masks:
     found = ws._masks.get(u.cid)
     if found is not None:
         return found
@@ -312,10 +287,10 @@ def _masks(u: Concept, ws: WorldSet) -> Masks:
             if t is not None:
                 out[t] = out.get(t, 0) | m
     elif kind == "conj":
-        left, right = (_masks(v, ws) for v in u.subs)
+        left, right = (masks(v, ws) for v in u.subs)
         out = _join_masks(left, right, u.s, u.subs[0].degree, u.subs[1].degree)
     elif kind == "neg":
-        sub = _masks(u.subs[0], ws)
+        sub = masks(u.subs[0], ws)
         dom = ws.worlds[0].sorted_domain()
         for t in itertools.product(dom, repeat=u.degree):
             m = full & ~sub.get(t, 0)
@@ -323,15 +298,15 @@ def _masks(u: Concept, ws: WorldSet) -> Masks:
                 out[t] = m
     elif kind == "exists":
         n = u.n
-        for t, m in _masks(u.subs[0], ws).items():
+        for t, m in masks(u.subs[0], ws).items():
             rest = t[: n - 1] + t[n:]
             out[rest] = out.get(rest, 0) | m
     elif kind == "union":
         for member in u.subs:
-            for t, m in _masks(member, ws).items():
+            for t, m in masks(member, ws).items():
                 out[t] = out.get(t, 0) | m
     elif kind == "necess":
-        out = {t: full for t, m in _masks(u.subs[0], ws).items() if m == full}
+        out = {t: full for t, m in masks(u.subs[0], ws).items() if m == full}
     elif kind == "id":
         out = {(d, d): full for d in ws.worlds[0].sorted_domain()}
     elif kind == "truth":
@@ -464,8 +439,7 @@ def strong_equiv(
     same = u1 is u2
     if u1.degree != u2.degree:
         return EquivReport(False, "strong", same, len(ws), ws.worlds[0].name)
-    _check_relations(ws, (u1, u2))
-    m1, m2 = _masks(u1, ws), _masks(u2, ws)
+    m1, m2 = masks(u1, ws), masks(u2, ws)
     diffs = {t: m1.get(t, 0) ^ m2.get(t, 0) for t in m1.keys() | m2.keys()}
     anywhere = 0
     for d in diffs.values():

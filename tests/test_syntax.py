@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intlog.files import load_signature
+from intlog.files import load_formulas, load_signature
 from intlog.relalg import ConceptHandle, Particular
 from intlog.syntax import (
     ID_PRED,
@@ -165,6 +165,17 @@ class TestParse:
         for bad in ("p(x", "p(x))", "exists c . p(x)", "q(x,)", "", "x", "p(x) &"):
             with pytest.raises(ParseError):
                 P(bad)
+
+    @pytest.mark.parametrize(
+        "text", ["~" * 1000 + "p(x)", "(" * 400 + "p(x)" + ")" * 400]
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^formula nested too deeply$"):
+            P(text)
+        with pytest.raises(ParseError, match="^formula nested too deeply$"):
+            parse_term(f"<< {text} >>_{{x}}", SIG)
+        with pytest.raises(ParseError, match="^deep.txt:2: formula nested too deeply$"):
+            load_formulas(f"p(x)\n{text}\n", SIG, "deep.txt")
 
     def test_abstraction_validation(self):
         with pytest.raises(AbstractionError):

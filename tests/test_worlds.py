@@ -156,16 +156,38 @@ class TestEnumerate:
 
 
 class TestWorldSet:
-    def test_members_are_copies_with_backref(self):
+    def test_members_are_adopted_with_backref(self):
         orig = [
             World("m0", (A, B), {}, {P: rel(1, [])}),
             World("m1", (A, B), {}, {P: rel(1, [(A,)])}),
         ]
         ws = WorldSet(orig)
-        assert orig[0].world_set is None
-        assert ws.worlds[0] is not orig[0]
-        assert all(w.world_set is ws for w in ws.worlds)
-        assert ws.world("m1").pred_map[P] == rel(1, [(A,)])
+        assert ws.worlds == orig  # the same objects: World has no __eq__
+        assert all(w.world_set is ws for w in orig)
+        assert ws.world("m1") is orig[1]
+
+    def test_adopted_world_evaluates_as_a_member(self):
+        w = World("only", (A, B), {}, {P: rel(1, [(A,)])})
+        ws = WorldSet([w])
+        px = parse_formula("p(x)", SIG_P)
+        assert satisfies(ws, w, {"x": A}, Box(px))
+        assert not satisfies(ws, w, {"x": B}, Diamond(px))
+        assert extensionalize(necess(interpret(px)), w) == rel(1, [(A,)])
+
+    def test_world_belongs_to_one_set(self):
+        w = World("m", (A, B), {}, {P: rel(1, [])})
+        ws = WorldSet([w], name="first")
+        with pytest.raises(WorldError, match="^world m already belongs to world set first$"):
+            WorldSet([w], name="second")
+        assert w.world_set is ws
+
+    def test_rejected_set_adopts_nothing(self):
+        w0 = World("m0", (A, B), {}, {P: rel(1, [])})
+        w1 = World("m1", (A, B), {}, {P: rel(1, []), Q: rel(2, [])})
+        with pytest.raises(WorldError, match="different predicates"):
+            WorldSet([w0, w1])
+        assert w0.world_set is None and w1.world_set is None
+        assert WorldSet([w0]).worlds == [w0]
 
     def test_unknown_world_name(self, ws4):
         with pytest.raises(WorldError, match="no world named"):
@@ -278,6 +300,13 @@ class TestModalExtensions:
         exts = [extensionalize(u, w) for w in ws4]
         assert all(r == exts[0] for r in exts)
         assert exts[0] == box_extension(atom_concept(P, (1,)), ws4)
+
+    def test_necess_is_memoized_in_every_member(self):
+        ws = enumerate_worlds(SIG_P, ["a", "b"])
+        u = necess(atom_concept(P, (1,)))
+        r = extensionalize(u, ws.worlds[0])
+        assert ws.worlds[-1]._memo[u.cid] is r
+        assert all(w._memo[u.cid] is r for w in ws)
 
     def test_necess_over_singleton_degenerates(self):
         w = World("only", (A, B), {}, {P: rel(1, [(A,)])})
@@ -480,44 +509,56 @@ class TestEquivalence:
 
 
 class TestMissingRelation:
-    """A hand-built set may lack a relation; the whole-set route names
-    the member the per-world route would name."""
+    """Members declare the same predicates, so a relation is either in
+    every member or in none; one absent everywhere fails at its atom,
+    naming the first member, as the per-world route does."""
 
     @pytest.fixture
     def ws(self):
         return WorldSet([
-            World("m0", (A, B), {}, {P: rel(1, [(A,)]), Q: rel(2, [(A, B)])}),
+            World("m0", (A, B), {}, {P: rel(1, [(A,)])}),
             World("m1", (A, B), {}, {P: rel(1, [(B,)])}),
-            World("m2", (A, B), {}, {}),
         ])
+
+    NO_Q = r"^predicate q/2 has no relation in world m0$"
+
+    @staticmethod
+    def pq():
+        return interpret(parse_formula("p(x) & q(x, y)", SIG_PQ))
+
+    @pytest.mark.parametrize(
+        "preds",
+        [{}, {P: rel(1, [(A,)]), Q: rel(2, [])}],
+        ids=["missing", "extra"],
+    )
+    def test_construction_rejects_other_predicates(self, preds):
+        w0 = World("m0", (A, B), {}, {P: rel(1, [(B,)])})
+        w1 = World("m1", (A, B), {}, preds)
+        with pytest.raises(WorldError, match="^world m1 has different predicates$"):
+            WorldSet([w0, w1])
 
     @pytest.mark.parametrize("modal", [box_extension, diamond_extension])
     def test_box_and_diamond(self, ws, modal):
-        with pytest.raises(SemanticsError, match=r"^predicate q/2 has no relation in world m1$"):
-            modal(atom_concept(Q, (1, 2)), ws)
-        with pytest.raises(SemanticsError, match=r"^predicate p/1 has no relation in world m2$"):
-            modal(atom_concept(P, (1,)), ws)
-        # p is evaluated first, but q is missing from an earlier world
-        pq = interpret(parse_formula("p(x) & q(x, y)", SIG_PQ))
-        with pytest.raises(SemanticsError, match=r"^predicate q/2 has no relation in world m1$"):
-            modal(pq, ws)
-
-    def test_necess_reaches_every_world_first(self, ws):
-        # per world, necess evaluates its body in every member before
-        # the next conjunct is reached
-        u = conj(frozenset(), necess(atom_concept(P, (1,))), atom_concept(Q, (1, 2)))
-        with pytest.raises(SemanticsError, match=r"^predicate p/1 has no relation in world m2$"):
-            box_extension(u, ws)
+        with pytest.raises(SemanticsError, match=self.NO_Q):
+            modal(self.pq(), ws)
 
     def test_equivalences(self, ws):
         t1 = parse_term("<< p(x) >>_{x}", SIG_PQ)
         t2 = parse_term("<< exists y . q(x, y) >>_{x}", SIG_PQ)
-        # strong compares world by world, so q fails first, in m1
-        with pytest.raises(SemanticsError, match=r"^predicate q/2 has no relation in world m1$"):
+        with pytest.raises(SemanticsError, match=self.NO_Q):
             strong_equiv(t1, t2, {}, ws)
-        # weak takes the first term's diamond before the second's
-        with pytest.raises(SemanticsError, match=r"^predicate p/1 has no relation in world m2$"):
+        with pytest.raises(SemanticsError, match=self.NO_Q):
             weak_equiv(t1, t2, {}, ws)
+
+    def test_per_world_extensionalize(self, ws):
+        with pytest.raises(SemanticsError, match=self.NO_Q):
+            extensionalize(self.pq(), ws.worlds[0])
+
+    def test_necess_reaches_every_world_first(self, ws):
+        # necess evaluates its body in every member in set order, so
+        # from m1 it fails in m0
+        with pytest.raises(SemanticsError, match=self.NO_Q):
+            extensionalize(necess(self.pq()), ws.worlds[1])
 
 
 # ---------------------------------------------------------------------------
