@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from .errors import IntlogError
 from .relalg import ConceptHandle, DomainElement, Particular, join_spec_ok
@@ -34,11 +35,32 @@ class DegreeError(ConceptError):
 #: Atom argument: a 1-based slot index or a fixed domain element.
 AtomArg = Union[int, DomainElement]
 
+#: An atom's row pattern: the 0-based row positions whose values make
+#: the extension tuple (one per slot, in slot order), position pairs
+#: that must hold equal values (a repeated slot), and (position,
+#: element) pairs for fixed arguments.
+AtomPattern = Tuple[
+    Tuple[int, ...], Tuple[Tuple[int, int], ...], Tuple[Tuple[int, DomainElement], ...]
+]
+
+
+def _no_relations(numbers) -> tuple:
+    return ()
+
 
 @dataclass(eq=False)
 class Concept:
     """One interned node.  Never construct directly; use the builder
-    functions below so equal expressions share an id."""
+    functions below so equal expressions share an id.
+
+    `reads` lists the predicate numbers (`pred_number`) of the base
+    relations the concept's extension depends on: its atoms'
+    predicates, none for necess, id and truth.  `relation_key` picks
+    the concept's entries out of a world's (predicate number ->
+    relation number) table; with the cid it keys the extension memo.
+    An atom's `pattern` is None when its arguments are the slots 1, 2,
+    ... in order (the extension is the base relation itself).
+    """
 
     cid: int
     kind: str  # atom, conj, neg, exists, union, necess, id, truth
@@ -48,6 +70,9 @@ class Concept:
     s: frozenset = frozenset()
     subs: Tuple["Concept", ...] = ()
     n: int = 0
+    reads: Tuple[int, ...] = ()
+    relation_key: Callable = _no_relations
+    pattern: Optional[AtomPattern] = None
 
     def __str__(self) -> str:
         return format_concept(self)
@@ -59,6 +84,19 @@ class Concept:
 _lock = threading.Lock()
 _table: dict = {}
 _next_cid = 0
+_pred_numbers: Dict[PredicateSymbol, int] = {}
+
+
+def pred_number(p: PredicateSymbol) -> int:
+    """A small int standing for p, the same for the life of the
+    process; memo keys carry these instead of the symbols, whose
+    hashing is slower."""
+    with _lock:
+        return _number_locked(p)
+
+
+def _number_locked(p: PredicateSymbol) -> int:
+    return _pred_numbers.setdefault(p, len(_pred_numbers))
 
 
 def _intern(key, **fields) -> Concept:
@@ -69,8 +107,32 @@ def _intern(key, **fields) -> Concept:
             return found
         node = Concept(cid=_next_cid, **fields)
         _next_cid += 1
+        if node.kind == "atom":
+            node.reads = (_number_locked(node.pred),)
+            node.pattern = _atom_pattern(node.args)
+        elif node.kind != "necess":
+            node.reads = tuple(sorted({p for sub in node.subs for p in sub.reads}))
+        if node.reads:
+            node.relation_key = itemgetter(*node.reads)
         _table[key] = node
         return node
+
+
+def _atom_pattern(args: Tuple[AtomArg, ...]) -> Optional[AtomPattern]:
+    first: Dict[int, int] = {}
+    same = []
+    fixed = []
+    for i, a in enumerate(args):
+        if not isinstance(a, int):
+            fixed.append((i, a))
+        elif a in first:
+            same.append((i, first[a]))
+        else:
+            first[a] = i
+    pick = tuple(first.values())
+    if not same and not fixed and pick == tuple(range(len(args))):
+        return None
+    return pick, tuple(same), tuple(fixed)
 
 
 def registry_size() -> int:

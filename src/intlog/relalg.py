@@ -97,12 +97,7 @@ class Relation:
                     f"tuple {t} has length {len(t)}, expected arity {self.arity}"
                 )
         if self.attrs is not None:
-            if len(self.attrs) != self.arity:
-                raise AttrError(
-                    f"{len(self.attrs)} labels for arity {self.arity}"
-                )
-            if len(set(self.attrs)) != len(self.attrs):
-                raise AttrError(f"duplicate column labels in {self.attrs}")
+            _check_attrs(self.arity, self.attrs)
 
     def sorted_tuples(self) -> list:
         return sorted(self.tuples, key=tuple_key)
@@ -114,13 +109,49 @@ class Relation:
         return bool(self.tuples)
 
     def with_attrs(self, attrs: Optional[Sequence]) -> "Relation":
-        return Relation(self.arity, self.tuples, tuple(attrs) if attrs is not None else None)
+        """The same tuples under new column labels (None drops them).
+
+        Raises:
+            AttrError: if the labels do not fit the arity or repeat.
+        """
+        if attrs is not None:
+            attrs = tuple(attrs)
+            _check_attrs(self.arity, attrs)
+        return trusted_relation(self.arity, self.tuples, attrs)
 
     def same_tuples(self, other: "Relation") -> bool:
         return self.arity == other.arity and self.tuples == other.tuples
 
     def __str__(self) -> str:
         return format_relation(self)
+
+
+def _check_attrs(arity: int, attrs: tuple) -> None:
+    if len(attrs) != arity:
+        raise AttrError(f"{len(attrs)} labels for arity {arity}")
+    if len(set(attrs)) != len(attrs):
+        raise AttrError(f"duplicate column labels in {attrs}")
+
+
+def trusted_relation(
+    arity: int, tuples: frozenset, attrs: Optional[tuple] = None
+) -> Relation:
+    """A Relation from parts already known to be well formed, with no
+    copy and no checks: tuples must be a frozenset of arity-length
+    tuples, attrs None or a tuple of arity distinct labels.
+
+    The operators build their results this way, since their inputs were
+    checked when they were built; values from outside go through
+    `Relation(...)` or `rel`, which validate.
+    """
+    r = object.__new__(Relation)
+    # the frozen dataclass refuses setattr; filling the instance dict
+    # directly skips __post_init__ and costs the least
+    d = r.__dict__
+    d["arity"] = arity
+    d["tuples"] = tuples
+    d["attrs"] = attrs
+    return r
 
 
 def rel(arity: int, tuples: Iterable = (), attrs: Optional[Sequence] = None) -> Relation:
@@ -191,27 +222,27 @@ def natural_join(r1: Relation, r2: Relation, s) -> Relation:
         attrs = _merge_attrs(
             r1.attrs, tuple(r2.attrs[i - 1] for i in keep) if r2.attrs is not None else None
         )
-        return Relation(r1.arity + r2.arity - len(s), frozenset(out), attrs)
-    out = {t1 + t2 for t1 in r1.tuples for t2 in r2.tuples}
-    return Relation(r1.arity + r2.arity, frozenset(out), _merge_attrs(r1.attrs, r2.attrs))
+        return trusted_relation(r1.arity + r2.arity - len(s), frozenset(out), attrs)
+    out = frozenset(t1 + t2 for t1 in r1.tuples for t2 in r2.tuples)
+    return trusted_relation(r1.arity + r2.arity, out, _merge_attrs(r1.attrs, r2.attrs))
 
 
 def complement(r: Relation, domain: Iterable) -> Relation:
-    """The complement of r within domain^arity.
+    """The complement of r within domain^arity.  A frozenset domain
+    (such as `World.domain`) is used as it is, without a copy.
 
     Raises:
         DomainError: if a tuple element of r is not in domain.
     """
     if r.arity == 0:
-        return Relation(0, frozenset() if r.tuples else frozenset({()}), r.attrs)
-    dom = sorted(set(domain), key=element_key)
-    domset = set(dom)
+        return trusted_relation(0, FALSE.tuples if r.tuples else TRUE.tuples, r.attrs)
+    dom = domain if isinstance(domain, frozenset) else frozenset(domain)
     for t in r.tuples:
         for e in t:
-            if e not in domset:
+            if e not in dom:
                 raise DomainError(f"element {element_name(e)} not in domain")
-    full = set(itertools.product(dom, repeat=r.arity))
-    return Relation(r.arity, frozenset(full - set(r.tuples)), r.attrs)
+    full = frozenset(itertools.product(dom, repeat=r.arity))
+    return trusted_relation(r.arity, full - r.tuples, r.attrs)
 
 
 def f_truth(r: Relation) -> Relation:
@@ -232,7 +263,7 @@ def project_out(r: Relation, m) -> Relation:
         return r
     out = frozenset(t[: m - 1] + t[m:] for t in r.tuples)
     attrs = r.attrs[: m - 1] + r.attrs[m:] if r.attrs is not None else None
-    return Relation(k - 1, out, attrs)
+    return trusted_relation(k - 1, out, attrs)
 
 
 def project_out_many(r: Relation, beta: Sequence) -> Relation:

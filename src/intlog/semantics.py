@@ -6,7 +6,10 @@ index pairs come from the two free-variable tuples, negation to neg,
 and an existential to exists_n where n is the position of the variable
 in the body's free tuple, or 0 when it is not free).  Step two is
 `extensionalize`: each world maps concepts to relations through the
-relational algebra.
+relational algebra.  A concept's extension depends only on the
+world's relations for the predicates it reads (and the domain), so the
+memo is keyed by concept id and those relations' numbers, and the
+members of a world set share one memo (see `World`).
 
 `tarski_eval` is the independent reference: it enumerates assignments
 and decides satisfaction recursively, never touching the relational
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional
 
 from .concepts import (
@@ -37,6 +41,7 @@ from .concepts import (
     conj,
     exists,
     neg,
+    pred_number,
     union_concepts,
 )
 from .errors import IntlogError
@@ -52,6 +57,7 @@ from .relalg import (
     identity_relation,
     natural_join,
     project_out,
+    trusted_relation,
     tuple_key,
 )
 from .syntax import (
@@ -90,14 +96,26 @@ class WorldError(IntlogError):
 Assignment = Mapping[str, DomainElement]
 
 
+#: Memo key: a concept id and the numbers of the base relations it reads.
+MemoKey = tuple
+
+
 class World:
     """A finite interpretation: domain, constant denotations, and one
     relation per predicate symbol.
 
-    The identity predicate is populated automatically and cannot be
-    overridden.  Worlds are immutable after construction apart from the
-    extension memo, which caches extensionalize results per concept id,
-    and the back reference to the one WorldSet that adopts the world.
+    The identity predicate is populated automatically (one shared
+    relation per domain) and cannot be overridden.  Worlds are
+    immutable after construction apart from the extension memo and the
+    back reference to the one WorldSet that adopts the world.
+
+    The memo caches extensionalize results under (concept id, numbers
+    of the base relations the concept reads): a concept's extension
+    depends only on those relations and the domain, so worlds that
+    agree on them can share it.  A lone world numbers its own relations
+    and keeps its own memo.  A WorldSet gives all its members one memo
+    and one numbering, in which equal relations get one number, so
+    `clear_memo` on a member clears the memo of the whole set.
     """
 
     def __init__(
@@ -136,15 +154,28 @@ class World:
                         raise WorldError(
                             f"tuple element {element_name(e)} of {p} not in domain"
                         )
-        self.pred_map[ID_PRED] = identity_relation(self.domain)
+        self.pred_map[ID_PRED] = _identity(self.domain)
         self.world_set = None  # set once, when a WorldSet adopts this world
-        self._memo: Dict[int, Relation] = {}
+        self.share_memo({}, {})
         self._sorted = sorted(self.domain, key=element_key)
 
     def sorted_domain(self) -> list:
         return self._sorted
 
+    def share_memo(self, memo: Dict[MemoKey, Relation], numbers: Dict[frozenset, int]) -> None:
+        """Evaluate through memo from now on, numbering this world's
+        relations in numbers (tuple set -> number; equal relations get
+        one number).  A WorldSet calls this on adopting the world, with
+        one memo and one numbering for all its members; the memo the
+        world had is dropped, since its keys used the old numbering."""
+        self._memo = memo
+        self._relation_numbers = {
+            pred_number(p): numbers.setdefault(r.tuples, len(numbers))
+            for p, r in self.pred_map.items()
+        }
+
     def clear_memo(self) -> None:
+        """Empty the extension memo (the whole set's, for a member)."""
         self._memo.clear()
 
     def __repr__(self) -> str:
@@ -260,19 +291,26 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
 # step two: concepts to relations, per world
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _identity(domain: frozenset) -> Relation:
+    return identity_relation(domain)
+
+
 def atom_row(u: Concept, row: tuple) -> Optional[tuple]:
     """The tuple a base-relation row contributes to an atom concept's
     extension: the row's values at the slots, in slot order.  None when
     the row does not match the pattern (an element differs from a fixed
     argument, or a repeated slot sees two elements)."""
-    vals: Dict[int, DomainElement] = {}
-    for elem, arg in zip(row, u.args):
-        if isinstance(arg, int):
-            if vals.setdefault(arg, elem) != elem:
-                return None
-        elif arg != elem:
+    if u.pattern is None:
+        return row
+    pick, same, fixed = u.pattern
+    for i, j in same:
+        if row[i] != row[j]:
             return None
-    return tuple(vals[i] for i in range(1, u.degree + 1))
+    for i, e in fixed:
+        if row[i] != e:
+            return None
+    return tuple([row[i] for i in pick])
 
 
 def no_relation_error(pred: PredicateSymbol, w: World) -> SemanticsError:
@@ -283,16 +321,24 @@ def _atom_extension(u: Concept, w: World) -> Relation:
     base = w.pred_map.get(u.pred)
     if base is None:
         raise no_relation_error(u.pred, w)
+    if u.pattern is None:
+        return trusted_relation(u.degree, base.tuples)
     out = {atom_row(u, row) for row in base.tuples}
     out.discard(None)
-    return Relation(u.degree, out)
+    return trusted_relation(u.degree, frozenset(out))
 
 
-def _ext(u: Concept, w: World, memo: Optional[Dict[int, Relation]]) -> Relation:
+def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relation:
     if memo is not None:
-        cached = memo.get(u.cid)
-        if cached is not None:
-            return cached
+        try:
+            key = (u.cid, u.relation_key(w._relation_numbers))
+        except KeyError:
+            # w has no relation for a predicate u reads: its atom raises
+            memo = None
+        else:
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
     kind = u.kind
     if kind == "atom":
         r = _atom_extension(u, w)
@@ -304,23 +350,17 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[int, Relation]]) -> Relation:
         r = project_out(_ext(u.subs[0], w, memo), u.n)
     elif kind == "union":
         parts = [_ext(m_, w, memo) for m_ in u.subs]
-        r = Relation(u.degree, frozenset().union(*(p.tuples for p in parts)))
+        r = trusted_relation(u.degree, frozenset().union(*(p.tuples for p in parts)))
     elif kind == "necess":
         ws = w.world_set
         if ws is None:
             raise SemanticsError(
                 "necess needs a world that belongs to a world set"
             )
-        tuple_sets = [
-            _ext(u.subs[0], w2, w2._memo if memo is not None else None)
-            for w2 in ws.worlds
-        ]
-        common = frozenset.intersection(*(frozenset(p.tuples) for p in tuple_sets))
-        r = Relation(u.degree, common)
-        if memo is not None:
-            # rigid: the same relation in every member, so memoize it there
-            for w2 in ws.worlds:
-                w2._memo[u.cid] = r
+        # the members share memo, so members that agree on the relations
+        # u.subs[0] reads share its extension too
+        parts = [_ext(u.subs[0], w2, memo) for w2 in ws.worlds]
+        r = trusted_relation(u.degree, frozenset.intersection(*(p.tuples for p in parts)))
     elif kind == "id":
         r = w.pred_map[ID_PRED]
     elif kind == "truth":
@@ -328,13 +368,16 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[int, Relation]]) -> Relation:
     else:
         raise SemanticsError(f"unknown concept kind {kind!r}")
     if memo is not None:
-        memo[u.cid] = r
+        memo[key] = r
     return r
 
 
 def extensionalize(u: Concept, w: World) -> Relation:
     """The extension of a concept in a world; arity equals the degree.
-    Results are memoized per (concept, world)."""
+    Results are memoized in the world's memo, under the concept id and
+    the numbers of the relations it reads, so members of a world set
+    that agree on those relations share one result, and a necess
+    concept (which reads none) is evaluated once per set."""
     return _ext(u, w, w._memo)
 
 

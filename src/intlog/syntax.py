@@ -19,6 +19,9 @@ Grammar (loosest to tightest binding):
 Quantifier scope extends as far right as possible.  Derived connectives
 (|, ->, <->, forall, exists1, false) are desugared during parsing, so a
 parsed formula only ever contains Atom, Conj, Neg and Exists nodes.
+The parser rejects a formula whose desugared tree is deeper than
+MAX_DEPTH, so every recursive walk over a parsed formula fits in the
+interpreter's stack.
 
 Variables are identifiers starting with x, y or z, plus anything a
 signature declares with `var`.  `#name` denotes the domain element with
@@ -605,16 +608,69 @@ def validate_abstraction(t: Abstraction) -> None:
         raise AbstractionError(f"inconsistent abstraction term {t}")
 
 
+#: The deepest desugared formula the parser accepts, in nodes from the
+#: root to the deepest leaf, abstraction bodies included.  The
+#: recursive walks (free_vars, interpret, the reference evaluator) take
+#: up to two interpreter frames per level; at 500 levels the reference
+#: evaluator already exceeds Python's default recursion limit of 1,000.
+MAX_DEPTH = 300
+
+
+def _children(node) -> tuple:
+    if isinstance(node, Conj):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Exists, Box, Diamond)):
+        return (node.sub,)
+    if isinstance(node, Atom):
+        return node.args
+    if isinstance(node, Abstraction):
+        return (node.body,)
+    return ()
+
+
+def _depth(root) -> int:
+    """Nodes on the longest root-to-leaf path, without recursion.
+    Desugaring shares subtrees (`a <-> b` holds a and b twice), so each
+    node is measured once, by identity."""
+    depth = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        kids = _children(node)
+        todo = [k for k in kids if id(k) not in depth]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        depth[id(node)] = 1 + max((depth[id(k)] for k in kids), default=0)
+    return depth[id(root)]
+
+
+def _checked_depth(x):
+    if _depth(x) > MAX_DEPTH:
+        raise ParseError("formula nested too deeply")
+    return x
+
+
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse and desugar a formula."""
+    """Parse and desugar a formula.
+
+    Raises:
+        ParseError: also when the formula is nested deeper than
+            MAX_DEPTH.
+    """
     try:
-        return _Parser(_lex(text), sig).formula()
+        return _checked_depth(_Parser(_lex(text), sig).formula())
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    """Parse a single term (the whole text must be one term)."""
+    """Parse a single term (the whole text must be one term).
+
+    Raises:
+        ParseError: also when the term is nested deeper than MAX_DEPTH.
+    """
     p = _Parser(_lex(text), sig)
     try:
         t = p.term()
@@ -623,7 +679,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")
-    return t
+    return _checked_depth(t)
 
 
 # ---------------------------------------------------------------------------

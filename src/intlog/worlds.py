@@ -15,7 +15,9 @@ set iff the tuple is in the concept's extension in member i), and every
 concept kind becomes an operation on those (tuple -> bitmask) tables,
 the way a symbolic model checker evaluates a formula over a set of
 states.  `semantics.extensionalize` stays the per-world route, so the
-two can be checked against each other world by world.
+two can be checked against each other world by world; its memo is
+shared by the members of a set, so members that agree on the relations
+a concept reads compute its extension once.
 
 Besides explicit files, small signatures can be swept exhaustively:
 `enumerate_worlds` produces every assignment of extensions to the
@@ -92,9 +94,15 @@ class WorldSet:
     and Diamond in the reference evaluator) find its quantification
     range, so a world belongs to at most one set.  Every member is
     checked before any is adopted, so a rejected set leaves the worlds
-    as they were.  The set itself keeps the world-bitmask tables of
-    `masks`: the base relations, scanned on first use, and a memo per
-    concept id.
+    as they were.
+
+    Adoption also gives the members one extension memo and one
+    numbering of their distinct relations (see `World.share_memo`):
+    extensionalize keys a result by concept id and the numbers of the
+    relations the concept reads, so members that agree on those
+    relations share it.  Whatever a member had memoized on its own is
+    dropped.  The set itself keeps the world-bitmask tables of `masks`:
+    the base relations, scanned on first use, and a memo per concept id.
     """
 
     def __init__(self, worlds: Iterable[World], name: str = "ws"):
@@ -117,8 +125,11 @@ class WorldSet:
                     f"world {w.name} already belongs to world set {w.world_set.name}"
                 )
             self._by_name[w.name] = w
+        self._memo: dict = {}
+        numbers: Dict[frozenset, int] = {}
         for w in members:
             w.world_set = self
+            w.share_memo(self._memo, numbers)
         self.name = name
         self.worlds = members
         #: The bitmask of every member world.
@@ -145,8 +156,7 @@ class WorldSet:
         return f"<world set {self.name}: {len(self.worlds)} worlds, |D|={len(self.domain)}>"
 
     def clear_memos(self) -> None:
-        for w in self.worlds:
-            w.clear_memo()
+        self._memo.clear()
         self._base = None
         self._masks.clear()
 
@@ -168,7 +178,8 @@ def enumerate_worlds(
 
     Constants are not guessed: a signature with constants needs an
     explicit const_map (element names or elements), shared by every
-    world.
+    world.  Each predicate's candidate relations are built once and
+    shared by the worlds that have them.
     """
     elems = []
     seen = set()
@@ -203,15 +214,20 @@ def enumerate_worlds(
             f"enumeration would produce {count} worlds, over the limit {limit}"
         )
 
-    worlds = []
-    for idx, masks in enumerate(
-        itertools.product(*(range(1 << len(ts)) for ts in tuple_lists))
-    ):
-        pred_map = {
-            p: rel(p.arity, [ts[i] for i in range(len(ts)) if mask >> i & 1])
-            for p, ts, mask in zip(preds, tuple_lists, masks)
-        }
-        worlds.append(World(f"w{idx}", elems, consts, pred_map))
+    # each predicate's 2^n candidate relations, indexed by bitmask and
+    # shared by every world that has them
+    candidates = [
+        [
+            rel(p.arity, [ts[i] for i in range(len(ts)) if mask >> i & 1])
+            for mask in range(1 << len(ts))
+        ]
+        for p, ts in zip(preds, tuple_lists)
+    ]
+    dom = frozenset(elems)
+    worlds = [
+        World(f"w{idx}", dom, consts, dict(zip(preds, rels)))
+        for idx, rels in enumerate(itertools.product(*candidates))
+    ]
     return WorldSet(worlds, name=f"enum{len(worlds)}")
 
 

@@ -31,6 +31,7 @@ from intlog.relalg import (
     rel,
     rel_equiv,
     truth,
+    trusted_relation,
 )
 
 A, B, C = Particular("a"), Particular("b"), Particular("c")
@@ -191,6 +192,14 @@ class TestComplement:
         out = complement(rel(1, [(A,)], attrs=("x",)), {A, B})
         assert out.attrs == ("x",)
 
+    def test_any_iterable_domain(self):
+        r = rel(2, [(A, B)])
+        want = complement(r, {A, B, C})
+        for dom in (frozenset({A, B, C}), [C, A, B], (B, C, A, A)):
+            assert complement(r, dom) == want
+        with pytest.raises(DomainError):
+            complement(r, frozenset({A}))
+
 
 # ---------------------------------------------------------------------------
 # project_out / f_truth / project_out_many
@@ -313,6 +322,22 @@ class TestRelationValue:
             rel(2, [(A, B)], attrs=("x",))
         with pytest.raises(AttrError):
             rel(2, [(A, B)], attrs=("x", "x"))
+
+    def test_with_attrs_checks_labels(self):
+        r = rel(2, [(A, B)])
+        assert r.with_attrs(("x", "y")) == rel(2, [(A, B)], attrs=("x", "y"))
+        assert r.with_attrs(["x", "y"]).attrs == ("x", "y")
+        assert r.with_attrs(None) == r
+        with pytest.raises(AttrError):
+            r.with_attrs(("x",))
+        with pytest.raises(AttrError):
+            r.with_attrs(("x", "x"))
+
+    def test_trusted_relation_equals_the_checked_one(self):
+        t = trusted_relation(2, frozenset({(A, B)}), ("x", "y"))
+        assert t == rel(2, [(A, B)], attrs=("x", "y"))
+        assert hash(t) == hash(rel(2, [(A, B)], attrs=("x", "y")))
+        assert trusted_relation(0, frozenset({()})) == TRUE
 
     def test_truth_values(self):
         assert TRUE.as_bool() is True

@@ -49,6 +49,7 @@ from intlog.semantics import (
     tarski_satisfied,
 )
 from intlog.syntax import (
+    MAX_DEPTH,
     Abstraction,
     AssignmentError,
     AbstractionError,
@@ -61,6 +62,7 @@ from intlog.syntax import (
     free_vars,
     ground,
     make_abstraction,
+    ParseError,
     make_signature,
     parse_formula,
     parse_term,
@@ -436,9 +438,9 @@ class TestMemo:
         assert extensionalize(u, w1) == first
 
     def test_nomemo_does_not_populate(self, w1):
-        u = interpret(parse("p(x)"))
+        u = interpret(parse("exists y . (q(x, y) & ~p(x))"))
         extensionalize_nomemo(u, w1)
-        assert u.cid not in w1._memo
+        assert w1._memo == {}
 
     def test_memo_is_per_world(self, w1, w2):
         u = interpret(parse("p(x)"))
@@ -517,6 +519,32 @@ class TestCheckDiagram:
         report = check_diagram(f, w1)
         assert not report.ok
         assert report.witness == (B,)
+
+
+class TestDeepNesting:
+    """Every formula the parser accepts is shallow enough for the
+    recursive walks of both routes."""
+
+    @pytest.mark.parametrize("n", [600, 950])
+    def test_too_deep_for_the_reference_is_a_parse_error(self, n):
+        with pytest.raises(ParseError, match="^formula nested too deeply$"):
+            parse("~" * n + "p(x)")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # MAX_DEPTH nodes: the negations, the atom and its variable
+            "~" * (MAX_DEPTH - 2) + "p(x)",
+            # a left-nested chain of MAX_DEPTH - 2 conjunctions
+            " & ".join(["q(x, y)"] * (MAX_DEPTH - 1)),
+        ],
+    )
+    def test_deepest_accepted_formula_evaluates_by_both_routes(self, w1, text):
+        f = parse(text)
+        assert check_diagram(f, w1).ok
+        assert check_tarski_constraint(f, {"x": A, "y": B}, w1)
+        with pytest.raises(ParseError, match="^formula nested too deeply$"):
+            parse(f"~({text})")
 
 
 class TestTarskiConstraint:

@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intlog import semantics
 from intlog.concepts import (
     TRUTH_CONCEPT,
     atom_concept,
@@ -214,11 +215,15 @@ class TestWorldSet:
 
     def test_clear_memos(self, ws4):
         u = interpret(parse_formula("p(x)", SIG_P))
-        for w in ws4:
-            extensionalize(u, w)
-        assert any(w._memo for w in ws4)
+        first = [extensionalize(u, w) for w in ws4]
+        assert all(extensionalize(u, w) is r for w, r in zip(ws4, first))
         ws4.clear_memos()
-        assert all(not w._memo for w in ws4)
+        again = [extensionalize(u, w) for w in ws4]
+        assert again == first
+        assert all(r2 is not r for r2, r in zip(again, first))
+        # the members share one memo: clearing one member clears them all
+        ws4.worlds[1].clear_memo()
+        assert all(extensionalize(u, w) is not r for w, r in zip(ws4, again))
 
     def test_clear_memos_drops_world_bitmasks(self):
         ws = enumerate_worlds(SIG_P, ["a", "b"])
@@ -301,12 +306,16 @@ class TestModalExtensions:
         assert all(r == exts[0] for r in exts)
         assert exts[0] == box_extension(atom_concept(P, (1,)), ws4)
 
-    def test_necess_is_memoized_in_every_member(self):
-        ws = enumerate_worlds(SIG_P, ["a", "b"])
-        u = necess(atom_concept(P, (1,)))
+    def test_necess_is_memoized_in_every_member(self, monkeypatch):
+        ws = enumerate_worlds(SIG_PQ, ["a", "b"])
+        u = necess(neg(atom_concept(P, (1,))))
+        calls = _count_calls(monkeypatch, "complement")
         r = extensionalize(u, ws.worlds[0])
-        assert ws.worlds[-1]._memo[u.cid] is r
-        assert all(w._memo[u.cid] is r for w in ws)
+        # ~p(x) once per distinct p relation (4), not once per member (64)
+        assert len(calls) == 4
+        # one evaluation serves every member
+        assert all(extensionalize(u, w) is r for w in ws)
+        assert len(calls) == 4
 
     def test_necess_over_singleton_degenerates(self):
         w = World("only", (A, B), {}, {P: rel(1, [(A,)])})
@@ -561,6 +570,20 @@ class TestMissingRelation:
             extensionalize(necess(self.pq()), ws.worlds[1])
 
 
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every call semantics makes to the
+    relational operator `name`."""
+    calls = []
+    real = getattr(semantics, name)
+
+    def counted(r, *rest):
+        calls.append(r)
+        return real(r, *rest)
+
+    monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the third corner: world bitmasks against per-world extensions
 # ---------------------------------------------------------------------------
@@ -751,6 +774,75 @@ class TestWorldBitmasks:
             t for t, m in table.items() if m == ws64.all_mask
         }
         assert diamond_extension(u, ws64).tuples == set(table)
+
+
+#: Members that repeat relations: r4 is r1 again, r2 shares p with r1,
+#: r3 shares q with r1.
+WS_REPEATS = (
+    "worlds\ndomain a b\n"
+    "reify unicorn = << p(x) >>_{x}\n"
+    "world r1\nrel p/1 = (a)\nrel q/2 = (a, unicorn)\n"
+    "world r2\nrel p/1 = (a)\nrel q/2 = (b, b)\n"
+    "world r3\nrel p/1 = (b) (unicorn)\nrel q/2 = (a, unicorn)\n"
+    "world r4\nrel p/1 = (a)\nrel q/2 = (a, unicorn)\n"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_memo_sets():
+    return (enumerate_worlds(SIG_PQ, ["a", "b"]), load_world_set(WS_REPEATS, SIG_PQ))
+
+
+class TestSharedMemo:
+    """The members of a set share one memo, keyed by concept id and the
+    numbers of the relations the concept reads."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_memo_is_transparent(self, data):
+        ws = data.draw(st.sampled_from(_shared_memo_sets()))
+        us = [data.draw(concepts(ws)) for _ in range(3)]
+        for i in data.draw(st.permutations(range(len(ws)))):
+            w = ws.worlds[i]
+            if data.draw(st.booleans()):
+                w.clear_memo()
+            for u in us:
+                assert extensionalize(u, w) == extensionalize_nomemo(u, w)
+
+    def test_one_complement_per_distinct_relation(self, monkeypatch):
+        ws = enumerate_worlds(SIG_PQ, ["a", "b"])
+        u = interpret(parse_formula("~p(x)", SIG_PQ))
+        calls = _count_calls(monkeypatch, "complement")
+        got = [extensionalize(u, w) for w in ws]
+        # 64 worlds, but p takes only 4 relations among them
+        assert len(calls) == 4
+        assert len({r.tuples for r in calls}) == 4
+        monkeypatch.undo()
+        assert got == [extensionalize_nomemo(u, w) for w in ws]
+
+    def test_members_with_equal_relations_share_results(self):
+        ws = load_world_set(WS_REPEATS, SIG_PQ)
+        r1, r2, r3, r4 = ws.worlds
+        pq = interpret(parse_formula("p(x) & ~q(x, y)", SIG_PQ))
+        assert extensionalize(pq, r4) is extensionalize(pq, r1)
+        assert extensionalize(pq, r2) is not extensionalize(pq, r1)
+        p_only = interpret(parse_formula("~p(x)", SIG_PQ))
+        assert extensionalize(p_only, r2) is extensionalize(p_only, r1)
+        assert extensionalize(p_only, r3) is not extensionalize(p_only, r1)
+
+    def test_world_evaluated_alone_then_adopted(self):
+        w_a = World("m_a", (A, B), {}, {P: rel(1, [(A,)])})
+        w_e = World("m_e", (A, B), {}, {P: rel(1, [])})
+        u = interpret(parse_formula("~p(x)", SIG_P))
+        want = {w_a: rel(1, [(B,)]), w_e: rel(1, [(A,), (B,)])}
+        # alone, each world numbers its own p relation first
+        for w in (w_a, w_e):
+            assert extensionalize(u, w) == want[w]
+        WorldSet([w_a, w_e])
+        for w in (w_e, w_a):
+            assert extensionalize(u, w) == want[w]
+        assert extensionalize(necess(u), w_e) == rel(1, [(B,)])
+        assert extensionalize(necess(neg(u)), w_a) == rel(1, [])
 
 
 class TestWorldSetFiles:
