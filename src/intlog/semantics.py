@@ -154,10 +154,10 @@ class World:
                         raise WorldError(
                             f"tuple element {element_name(e)} of {p} not in domain"
                         )
-        self.pred_map[ID_PRED] = _identity(self.domain)
+        self._sorted = sorted(self.domain, key=element_key)
+        self.pred_map[ID_PRED] = _identity(self.domain, tuple(map(element_name, self._sorted)))
         self.world_set = None  # set once, when a WorldSet adopts this world
         self.share_memo({}, {})
-        self._sorted = sorted(self.domain, key=element_key)
 
     def sorted_domain(self) -> list:
         return self._sorted
@@ -292,7 +292,10 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _identity(domain: frozenset) -> Relation:
+def _identity(domain: frozenset, names: tuple) -> Relation:
+    """One identity relation for all worlds over equal domains whose
+    elements, in element_key order, have the same names (a reified
+    element's name is not part of its equality, but is printed)."""
     return identity_relation(domain)
 
 

@@ -114,6 +114,18 @@ class TestLoadWorld:
         # r/2 has no rel line, defaults to empty
         assert w1.pred_map[R] == rel(2, [])
 
+    def test_identity_relation_names_its_own_elements(self):
+        # equal domains (a handle equals by concept id), different names
+        texts = [
+            f"domain a\nreify {name} = << p(x) >>_{{x}}\nconst c = a\nconst d = a\n"
+            for name in ("unicorn", "u2")
+        ]
+        worlds = [load_world(t, SIG) for t in texts]
+        assert worlds[0].domain == worlds[1].domain
+        shown = [str(eval_formula(parse("x == y"), w)) for w in worlds]
+        assert "unicorn unicorn" in shown[0] and "u2" not in shown[0]
+        assert "u2 u2" in shown[1] and "unicorn" not in shown[1]
+
     def test_identity_relation_automatic(self, w1):
         ident = w1.pred_map[PredicateSymbol("==", 2)]
         assert ident == rel(2, [(A, A), (B, B)])
