@@ -646,8 +646,11 @@ def _depth(root) -> int:
     return depth[id(root)]
 
 
-def _checked_depth(x):
-    if _depth(x) > MAX_DEPTH:
+def _checked_depth(x, n_tokens: int):
+    # no token adds more than four nodes to a root-to-leaf path of the
+    # desugared tree (`a <-> b` adds four above b, `exists1 x .` ten
+    # over three tokens), so only long texts need measuring
+    if 4 * n_tokens > MAX_DEPTH and _depth(x) > MAX_DEPTH:
         raise ParseError("formula nested too deeply")
     return x
 
@@ -659,8 +662,9 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         ParseError: also when the formula is nested deeper than
             MAX_DEPTH.
     """
+    tokens = _lex(text)
     try:
-        return _checked_depth(_Parser(_lex(text), sig).formula())
+        return _checked_depth(_Parser(tokens, sig).formula(), len(tokens))
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
 
@@ -679,7 +683,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")
-    return _checked_depth(t)
+    return _checked_depth(t, len(p.tokens))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from intlog.syntax import (
     parse_formula,
     parse_term,
     substitute,
+    _depth,
+    _lex,
 )
 
 SIG = make_signature(
@@ -176,6 +178,22 @@ class TestParse:
             parse_term(f"<< {text} >>_{{x}}", SIG)
         with pytest.raises(ParseError, match="^deep.txt:2: formula nested too deeply$"):
             load_formulas(f"p(x)\n{text}\n", SIG, "deep.txt")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " <-> ".join(["p(x)"] * 8),
+            "(" * 6 + "p(x)" + " <-> p(x))" * 6,
+            "exists1 x . exists1 y . exists1 z . q(x, y) & q(y, z)",
+            "forall x . forall y . (p(x) | ~q(x, y) -> ~false)",
+            "~~~(p(x) -> (q(x, y) <-> r(y, x)))",
+            "q(x, << exists1 y . (q(y, x) | false) >>_{x}) <-> s",
+        ],
+    )
+    def test_desugared_depth_is_at_most_four_per_token(self, text):
+        # the parser measures only texts of more than MAX_DEPTH / 4
+        # tokens, which is sound only while this bound holds
+        assert _depth(P(text)) <= 4 * len(_lex(text))
 
     def test_abstraction_validation(self):
         with pytest.raises(AbstractionError):
