@@ -44,7 +44,7 @@ AtomPattern = Tuple[
 ]
 
 
-def _no_relations(numbers) -> tuple:
+def _no_relations(relations) -> tuple:
     return ()
 
 
@@ -53,11 +53,11 @@ class Concept:
     """One interned node.  Never construct directly; use the builder
     functions below so equal expressions share an id.
 
-    `reads` lists the predicate numbers (`pred_number`) of the base
-    relations the concept's extension depends on: its atoms'
-    predicates, none for necess, id and truth.  `relation_key` picks
-    the concept's entries out of a world's (predicate number ->
-    relation number) table; with the cid it keys the extension memo.
+    `reads` lists the predicates whose base relations the concept's
+    extension depends on: its atoms' predicates, none for necess, id
+    and truth.  `relation_key` picks those relations out of a world's
+    (predicate -> tuple set) table; with the cid it keys the extension
+    memo.
     An atom's `pattern` is None when its arguments are the slots 1, 2,
     ... in order (the extension is the base relation itself).
     """
@@ -70,7 +70,7 @@ class Concept:
     s: frozenset = frozenset()
     subs: Tuple["Concept", ...] = ()
     n: int = 0
-    reads: Tuple[int, ...] = ()
+    reads: Tuple[PredicateSymbol, ...] = ()
     relation_key: Callable = _no_relations
     pattern: Optional[AtomPattern] = None
 
@@ -84,19 +84,6 @@ class Concept:
 _lock = threading.Lock()
 _table: dict = {}
 _next_cid = 0
-_pred_numbers: Dict[PredicateSymbol, int] = {}
-
-
-def pred_number(p: PredicateSymbol) -> int:
-    """A small int standing for p, the same for the life of the
-    process; memo keys carry these instead of the symbols, whose
-    hashing is slower."""
-    with _lock:
-        return _number_locked(p)
-
-
-def _number_locked(p: PredicateSymbol) -> int:
-    return _pred_numbers.setdefault(p, len(_pred_numbers))
 
 
 def _intern(key, **fields) -> Concept:
@@ -108,7 +95,7 @@ def _intern(key, **fields) -> Concept:
         node = Concept(cid=_next_cid, **fields)
         _next_cid += 1
         if node.kind == "atom":
-            node.reads = (_number_locked(node.pred),)
+            node.reads = (node.pred,)
             node.pattern = _atom_pattern(node.args)
         elif node.kind != "necess":
             node.reads = tuple(sorted({p for sub in node.subs for p in sub.reads}))

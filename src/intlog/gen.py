@@ -37,6 +37,11 @@ from .syntax import (
 )
 
 
+class GeneratorError(IntlogError, ValueError):
+    """A generator parameter is out of range, or the signature gives
+    the generator nothing to build atoms from."""
+
+
 class FormulaGenerator:
     """Random well-formed formulas over a signature.
 
@@ -56,18 +61,18 @@ class FormulaGenerator:
         elem_names: Sequence[str] = (),
     ):
         if depth < 0:
-            raise ValueError("depth must be non-negative")
+            raise GeneratorError("depth must be non-negative")
         if not 0.0 <= abs_prob <= 1.0:
-            raise ValueError("abs_prob must lie in [0, 1]")
+            raise GeneratorError("abs_prob must lie in [0, 1]")
         if not var_pool:
-            raise ValueError("the variable pool must be non-empty")
+            raise GeneratorError("the variable pool must be non-empty")
         self.sig = sig
         self.depth = depth
         self.abs_prob = abs_prob
         self.var_pool = tuple(var_pool)
         self.preds = [PredicateSymbol(n, a) for n, a in sorted(sig.preds)]
         if not self.preds:
-            raise ValueError("the signature declares no predicates")
+            raise GeneratorError("the signature declares no predicates")
         self.consts = sorted(sig.consts)
         self.elem_terms = tuple(parse_term(f"#{n}", sig) for n in elem_names)
         self.rng = random.Random(seed)

@@ -8,7 +8,7 @@ in the body's free tuple, or 0 when it is not free).  Step two is
 `extensionalize`: each world maps concepts to relations through the
 relational algebra.  A concept's extension depends only on the
 world's relations for the predicates it reads (and the domain), so the
-memo is keyed by concept id and those relations' numbers, and the
+memo is keyed by concept id and those relations' tuple sets, and the
 members of a world set share one memo (see `World`).
 
 `tarski_eval` is the independent reference: it enumerates assignments
@@ -41,7 +41,6 @@ from .concepts import (
     conj,
     exists,
     neg,
-    pred_number,
     union_concepts,
 )
 from .errors import IntlogError
@@ -96,7 +95,7 @@ class WorldError(IntlogError):
 Assignment = Mapping[str, DomainElement]
 
 
-#: Memo key: a concept id and the numbers of the base relations it reads.
+#: Memo key: a concept id and the tuple sets of the base relations it reads.
 MemoKey = tuple
 
 
@@ -109,13 +108,14 @@ class World:
     immutable after construction apart from the extension memo and the
     back reference to the one WorldSet that adopts the world.
 
-    The memo caches extensionalize results under (concept id, numbers
-    of the base relations the concept reads): a concept's extension
-    depends only on those relations and the domain, so worlds that
-    agree on them can share it.  A lone world numbers its own relations
-    and keeps its own memo.  A WorldSet gives all its members one memo
-    and one numbering, in which equal relations get one number, so
-    `clear_memo` on a member clears the memo of the whole set.
+    The memo caches extensionalize results under (concept id, tuple
+    sets of the base relations the concept reads): a concept's
+    extension depends only on those relations and the domain, so worlds
+    that hold equal relations can share it.  The tuple sets are
+    frozensets, which cache their hashes, and a relation object that
+    several worlds share compares by identity.  A lone world keeps its
+    own memo; a WorldSet gives all its members one, so `clear_memo` on
+    a member clears the memo of the whole set.
     """
 
     def __init__(
@@ -156,23 +156,18 @@ class World:
                         )
         self._sorted = sorted(self.domain, key=element_key)
         self.pred_map[ID_PRED] = _identity(self.domain, tuple(map(element_name, self._sorted)))
+        self._relations = {p: r.tuples for p, r in self.pred_map.items()}
         self.world_set = None  # set once, when a WorldSet adopts this world
-        self.share_memo({}, {})
+        self._memo: Dict[MemoKey, Relation] = {}
 
     def sorted_domain(self) -> list:
         return self._sorted
 
-    def share_memo(self, memo: Dict[MemoKey, Relation], numbers: Dict[frozenset, int]) -> None:
-        """Evaluate through memo from now on, numbering this world's
-        relations in numbers (tuple set -> number; equal relations get
-        one number).  A WorldSet calls this on adopting the world, with
-        one memo and one numbering for all its members; the memo the
-        world had is dropped, since its keys used the old numbering."""
+    def share_memo(self, memo: Dict[MemoKey, Relation]) -> None:
+        """Evaluate through memo from now on.  A WorldSet calls this on
+        adopting the world, with one memo for all its members; the memo
+        the world had is dropped."""
         self._memo = memo
-        self._relation_numbers = {
-            pred_number(p): numbers.setdefault(r.tuples, len(numbers))
-            for p, r in self.pred_map.items()
-        }
 
     def clear_memo(self) -> None:
         """Empty the extension memo (the whole set's, for a member)."""
@@ -334,7 +329,7 @@ def _atom_extension(u: Concept, w: World) -> Relation:
 def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relation:
     if memo is not None:
         try:
-            key = (u.cid, u.relation_key(w._relation_numbers))
+            key = (u.cid, u.relation_key(w._relations))
         except KeyError:
             # w has no relation for a predicate u reads: its atom raises
             memo = None
@@ -378,9 +373,9 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relat
 def extensionalize(u: Concept, w: World) -> Relation:
     """The extension of a concept in a world; arity equals the degree.
     Results are memoized in the world's memo, under the concept id and
-    the numbers of the relations it reads, so members of a world set
-    that agree on those relations share one result, and a necess
-    concept (which reads none) is evaluated once per set."""
+    the relations it reads, so members of a world set that hold equal
+    relations share one result, and a necess concept (which reads none)
+    is evaluated once per set."""
     return _ext(u, w, w._memo)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import IntlogError
 from .relalg import ConceptHandle, DomainElement, Particular, element_name
@@ -77,8 +77,11 @@ class SignatureError(IntlogError):
 # symbols and AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredicateSymbol:
+class PredicateSymbol(NamedTuple):
+    """A predicate name with its arity.  A plain (name, arity) tuple, so
+    it hashes and compares in C, equals its pair, and sorts by name,
+    then arity."""
+
     name: str
     arity: int
 
@@ -333,17 +336,11 @@ def mk_forall(var: str, f: Formula) -> Formula:
 def mk_exists_unique(var: str, f: Formula) -> Formula:
     """exists1 x . f  expands to
     (exists x) f  &  (forall x)(forall y)(f & f[x/y] -> x == y)
-    with y replaced by a variable not occurring in f."""
+    with y replaced by the first of y, y1, y2, ... not occurring in f."""
     taken = all_var_names(f) | {var}
-    fresh = None
-    for cand in ("y", "y1", "y2", "y3", "y4", "y5"):
-        if cand not in taken:
-            fresh = cand
-            break
-    if fresh is None:  # pragmatic fallback, never hit with sane inputs
-        i = 6
-        while f"y{i}" in taken:
-            i += 1
+    fresh, i = "y", 0
+    while fresh in taken:
+        i += 1
         fresh = f"y{i}"
     copy = substitute(f, var, Variable(fresh))
     uniq = mk_forall(

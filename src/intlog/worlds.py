@@ -96,13 +96,13 @@ class WorldSet:
     checked before any is adopted, so a rejected set leaves the worlds
     as they were.
 
-    Adoption also gives the members one extension memo and one
-    numbering of their distinct relations (see `World.share_memo`):
-    extensionalize keys a result by concept id and the numbers of the
-    relations the concept reads, so members that agree on those
-    relations share it.  Whatever a member had memoized on its own is
-    dropped.  The set itself keeps the world-bitmask tables of `masks`:
-    the base relations, scanned on first use, and a memo per concept id.
+    Adoption also gives the members one extension memo (see
+    `World.share_memo`): extensionalize keys a result by concept id and
+    the tuple sets of the relations the concept reads, so members that
+    hold equal relations share it.  Whatever a member had memoized on
+    its own is dropped.  The set itself keeps the world-bitmask tables
+    of `masks`: the base relations, scanned on first use, and a memo
+    per concept id.
     """
 
     def __init__(self, worlds: Iterable[World], name: str = "ws"):
@@ -125,11 +125,10 @@ class WorldSet:
                     f"world {w.name} already belongs to world set {w.world_set.name}"
                 )
             self._by_name[w.name] = w
-        self._memo: dict = {}
-        numbers: Dict[frozenset, int] = {}
+        memo: dict = {}
         for w in members:
             w.world_set = self
-            w.share_memo(self._memo, numbers)
+            w.share_memo(memo)
         self.name = name
         self.worlds = members
         #: The bitmask of every member world.
@@ -156,7 +155,8 @@ class WorldSet:
         return f"<world set {self.name}: {len(self.worlds)} worlds, |D|={len(self.domain)}>"
 
     def clear_memos(self) -> None:
-        self._memo.clear()
+        # the members share one extension memo
+        self.worlds[0].clear_memo()
         self._base = None
         self._masks.clear()
 

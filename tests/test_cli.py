@@ -280,6 +280,26 @@ class TestCheckDiagram:
         assert "0 mismatches" not in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "sig, extra",
+    [
+        (SIG, ["--depth", "-1"]),
+        (SIG, ["--abs-prob", "2"]),
+        ("const c\n", []),  # no pred lines: nothing to build atoms from
+    ],
+    ids=["negative-depth", "abs-prob-above-1", "no-predicates"],
+)
+def test_bad_generator_input_exits_2(paths, capsys, sig, extra):
+    sig_path = paths["dir"] / "gen_sig.txt"
+    sig_path.write_text(sig)
+    for command in ("check-diagram", "check-constraint"):
+        code, _, err = run(capsys, command, "--sig", str(sig_path), "--enumerate", "a",
+                           "--const", "c=a", "--random", "1", *extra)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestCheckConstraint:
     def test_world_file(self, paths, capsys):
         code, out, _ = run(capsys, "check-constraint", "--sig", paths["sig"],

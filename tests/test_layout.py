@@ -1,4 +1,5 @@
-"""Module layering: no intlog module imports another one's private names."""
+"""Module layering: no intlog module imports another one's private names
+or touches private attributes that only another module defines."""
 import ast
 from pathlib import Path
 
@@ -39,3 +40,49 @@ def test_semantics_does_not_import_worlds():
     # semantics is the per-world evaluator and worlds the whole-set one
     # built on top of it; the reverse import would make a cycle
     assert "intlog.worlds" not in _imported_modules(SRC / "semantics.py")
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined_private_attrs(tree):
+    """The private attribute names a module defines: stored on self,
+    named at class level, or given by a def."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.add(node.name)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            out.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, ast.AnnAssign):
+                    targets = [stmt.target]
+                else:
+                    continue
+                out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in out if _is_private(name)}
+
+
+def test_no_module_touches_private_attributes_only_another_defines():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {name: _defined_private_attrs(tree) for name, tree in trees.items()}
+    offenders = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(d for other, d in defined.items() if other != name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in elsewhere - defined[name]
+            ):
+                offenders.append(f"{name}:{node.lineno}: .{node.attr}")
+    assert offenders == []

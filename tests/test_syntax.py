@@ -158,6 +158,20 @@ class TestParse:
         # y is taken, so the copy uses y1
         assert "y1" in all_var_names(f)
         assert free_vars(f) == ("y",)
+        # y and y1 ... y5 are all taken: the first free name is y6
+        f = P("exists1 x . p5(y, y1, y2, y3, y4) & q(x, y5)")
+        assert "y6" in all_var_names(f)
+        assert free_vars(f) == ("y", "y1", "y2", "y3", "y4", "y5")
+
+    def test_predicate_symbol_is_a_value(self):
+        made = PredicateSymbol("p", 1)
+        parsed = P("p(x)").pred
+        assert made == parsed and hash(made) == hash(parsed)
+        assert made == ("p", 1)
+        assert str(made) == "p/1"
+        assert repr(made) == "PredicateSymbol(name='p', arity=1)"
+        symbols = [PredicateSymbol("q", 2), PredicateSymbol("p", 5), made]
+        assert sorted(symbols) == [made, PredicateSymbol("p", 5), PredicateSymbol("q", 2)]
 
     def test_lex_error(self):
         with pytest.raises(LexError):

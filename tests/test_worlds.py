@@ -795,7 +795,7 @@ def _shared_memo_sets():
 
 class TestSharedMemo:
     """The members of a set share one memo, keyed by concept id and the
-    numbers of the relations the concept reads."""
+    relations the concept reads."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
