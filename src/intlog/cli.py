@@ -139,6 +139,8 @@ def _world_set(args, sig: Signature) -> WorldSet:
 def _sweep_formulas(args, sig: Signature) -> List[Formula]:
     """check-diagram / check-constraint formula sources: a file, a
     seeded random batch, both, or the bundled corpus by default."""
+    if args.random < 0:
+        raise CliError(f"--random must be non-negative, got {args.random}")
     out: List[Formula] = []
     if args.formulas:
         out.extend(load_formulas(_read(args.formulas), sig, args.formulas))

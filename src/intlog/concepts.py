@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from .errors import IntlogError
-from .relalg import ConceptHandle, DomainElement, Particular, join_spec_ok
+from .relalg import ConceptHandle, DomainElement, Particular, join_plan
 from .syntax import ID_PRED, PredicateSymbol
 
 
@@ -167,14 +167,10 @@ def conj(s, u: Concept, v: Concept) -> Concept:
     then degrades to a cartesian product the same way).
     """
     s = frozenset(tuple(p) for p in s)
-    if join_spec_ok(s, u.degree, v.degree):
-        degree = u.degree + v.degree - len(s)
-    else:
-        degree = u.degree + v.degree
     return _intern(
         ("conj", s, u.cid, v.cid),
         kind="conj",
-        degree=degree,
+        degree=join_plan(s, u.degree, v.degree).arity,
         s=s,
         subs=(u, v),
     )

@@ -21,6 +21,7 @@ from .syntax import (
     Exists,
     Formula,
     ID_PRED,
+    MAX_DEPTH as PARSE_MAX_DEPTH,
     Neg,
     PredicateSymbol,
     Signature,
@@ -37,6 +38,16 @@ from .syntax import (
 )
 
 
+#: The largest depth budget the generator takes.  One unit adds at most
+#: three nodes to a root-to-leaf path of the desugared tree (`forall`,
+#: `|` and `->` each expand to three nodes above their operand; an atom
+#: holding an abstraction argument adds two, the atom and the
+#: abstraction), and a budget-0 atom is two deep (the atom and its
+#: term).  A formula of depth d is therefore at most 3d + 2 deep, which
+#: keeps every generated formula within the parser's MAX_DEPTH.
+MAX_DEPTH = (PARSE_MAX_DEPTH - 2) // 3
+
+
 class GeneratorError(IntlogError, ValueError):
     """A generator parameter is out of range, or the signature gives
     the generator nothing to build atoms from."""
@@ -46,9 +57,9 @@ class FormulaGenerator:
     """Random well-formed formulas over a signature.
 
     depth bounds the connective nesting budget (derived connectives
-    spend one unit and expand afterwards); abs_prob is the chance that
-    an argument position holds a reified abstraction instead of a base
-    term, while budget remains.
+    spend one unit and expand afterwards) and lies in [0, MAX_DEPTH];
+    abs_prob is the chance that an argument position holds a reified
+    abstraction instead of a base term, while budget remains.
     """
 
     def __init__(
@@ -60,8 +71,8 @@ class FormulaGenerator:
         var_pool: Sequence[str] = ("x", "y", "z"),
         elem_names: Sequence[str] = (),
     ):
-        if depth < 0:
-            raise GeneratorError("depth must be non-negative")
+        if not 0 <= depth <= MAX_DEPTH:
+            raise GeneratorError(f"depth must lie in [0, {MAX_DEPTH}], got {depth}")
         if not 0.0 <= abs_prob <= 1.0:
             raise GeneratorError("abs_prob must lie in [0, 1]")
         if not var_pool:

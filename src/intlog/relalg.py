@@ -6,12 +6,19 @@ arity-0 relations act as truth values: FALSE is the empty one, TRUE is
 the one holding the empty tuple.  Column indices are 1-based throughout;
 optional column labels (attrs) support the label-driven operators
 project_out_many and rel_equiv.
+
+The per-tuple work is kept in C where it can be: a `Particular` is a
+plain tuple, so rows hash and compare without Python-level methods, and
+`natural_join` is a hash join whose column getters come from a cached
+`join_plan`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import IntlogError
 
@@ -28,9 +35,9 @@ class AttrError(RelationError):
     """A column label is missing or two label sets do not match."""
 
 
-@dataclass(frozen=True)
-class Particular:
-    """An ordinary named individual."""
+class Particular(NamedTuple):
+    """An ordinary named individual.  A plain (name,) tuple, so it
+    hashes (as hash((name,))) and compares in C."""
 
     name: str
 
@@ -86,7 +93,7 @@ class Relation:
     attrs: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
+        object.__setattr__(self, "tuples", frozenset(_row(t) for t in self.tuples))
         if self.attrs is not None:
             object.__setattr__(self, "attrs", tuple(self.attrs))
         if self.arity < 0:
@@ -126,6 +133,14 @@ class Relation:
         return format_relation(self)
 
 
+def _row(t) -> tuple:
+    # a Particular is a tuple itself, so tuple() alone would accept one
+    # as a row of its name's characters
+    if isinstance(t, (Particular, ConceptHandle)):
+        raise RelationError(f"row {t} is a bare element, not a tuple")
+    return tuple(t)
+
+
 def _check_attrs(arity: int, attrs: tuple) -> None:
     if len(attrs) != arity:
         raise AttrError(f"{len(attrs)} labels for arity {arity}")
@@ -156,7 +171,7 @@ def trusted_relation(
 
 def rel(arity: int, tuples: Iterable = (), attrs: Optional[Sequence] = None) -> Relation:
     """Convenience constructor coercing tuples to a frozenset."""
-    return Relation(arity, frozenset(tuple(t) for t in tuples), attrs)
+    return Relation(arity, tuples, attrs)
 
 
 #: Truth values: the two arity-0 relations.
@@ -202,29 +217,82 @@ def _merge_attrs(a1: Optional[tuple], a2_kept: Optional[tuple]) -> Optional[tupl
     return merged
 
 
+class JoinPlan(NamedTuple):
+    """How natural_join combines rows for one (s, arity1, arity2).
+
+    key1 and key2 map a left and a right row to their join key; rest2
+    maps a right row (or its labels) to the tuple of its kept columns.
+    """
+
+    arity: int
+    key1: Callable
+    key2: Callable
+    rest2: Callable
+
+
+def _key(cols: Sequence[int]) -> Callable:
+    # itemgetter of one column gives the element itself, of several a
+    # tuple; either way both sides of a join build the same kind of key
+    return itemgetter(*cols) if cols else _nothing
+
+
+def _columns(cols: Sequence[int]) -> Callable:
+    # row -> the tuple of its cols, whatever their number
+    if len(cols) >= 2:
+        return itemgetter(*cols)
+    if cols:
+        get = itemgetter(cols[0])
+        return lambda t: (get(t),)
+    return _nothing
+
+
+def _nothing(t) -> tuple:
+    return ()
+
+
+@lru_cache(maxsize=1024)
+def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
+    """The plan natural_join follows for index pairs s between
+    relations of the given arities.  An empty or ill-formed s plans the
+    cartesian product: an empty key and every right column kept."""
+    if s and join_spec_ok(s, arity1, arity2):
+        pairs = sorted(s)
+        drop = {i2 for _, i2 in pairs}
+        return JoinPlan(
+            arity1 + arity2 - len(pairs),
+            _key([i1 - 1 for i1, _ in pairs]),
+            _key([i2 - 1 for _, i2 in pairs]),
+            _columns([i - 1 for i in range(1, arity2 + 1) if i not in drop]),
+        )
+    # tuple() hands a row (or a label tuple) back as it is
+    return JoinPlan(arity1 + arity2, _nothing, _nothing, tuple)
+
+
 def natural_join(r1: Relation, r2: Relation, s) -> Relation:
     """Join r1 and r2 on the 1-based index pairs in s.
 
     A combined tuple is kept iff the paired columns agree; the joined
     columns of r2 are dropped, so the result has r1's columns followed
     by r2's remaining columns.  An empty or ill-formed s yields the
-    cartesian product.
+    cartesian product.  Labels survive when both sides have them and
+    the merged labels do not repeat.
+
+    A hash join: r2's rows are indexed by their join key, and each row
+    of r1 looks up its partners there.
     """
-    s = frozenset(s)
-    if s and join_spec_ok(s, r1.arity, r2.arity):
-        drop = {i2 for _, i2 in s}
-        keep = [i for i in range(1, r2.arity + 1) if i not in drop]
-        out = set()
-        for t1 in r1.tuples:
-            for t2 in r2.tuples:
-                if all(t1[i1 - 1] == t2[i2 - 1] for i1, i2 in s):
-                    out.add(t1 + tuple(t2[i - 1] for i in keep))
-        attrs = _merge_attrs(
-            r1.attrs, tuple(r2.attrs[i - 1] for i in keep) if r2.attrs is not None else None
-        )
-        return trusted_relation(r1.arity + r2.arity - len(s), frozenset(out), attrs)
-    out = frozenset(t1 + t2 for t1 in r1.tuples for t2 in r2.tuples)
-    return trusted_relation(r1.arity + r2.arity, out, _merge_attrs(r1.attrs, r2.attrs))
+    plan = join_plan(frozenset(s), r1.arity, r2.arity)
+    key2, rest2 = plan.key2, plan.rest2
+    index: dict = {}
+    for t2 in r2.tuples:
+        index.setdefault(key2(t2), []).append(rest2(t2))
+    key1, get = plan.key1, index.get
+    out = set()
+    add = out.add
+    for t1 in r1.tuples:
+        for rest in get(key1(t1), ()):
+            add(t1 + rest)
+    attrs = _merge_attrs(r1.attrs, rest2(r2.attrs) if r2.attrs is not None else None)
+    return trusted_relation(plan.arity, frozenset(out), attrs)
 
 
 def complement(r: Relation, domain: Iterable) -> Relation:

@@ -38,7 +38,7 @@ from .relalg import (
     Relation,
     element_key,
     element_name,
-    join_spec_ok,
+    join_plan,
     rel,
     tuple_key,
 )
@@ -334,26 +334,18 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
 
 
 def _join_masks(left: Masks, right: Masks, s, k: int, j: int) -> Masks:
-    """Hash join on the index pairs in s, ANDing the masks; like
-    relalg.natural_join, an empty or ill-formed s gives the cartesian
-    product."""
-    out: Masks = {}
-    if not (s and join_spec_ok(s, k, j)):
-        for t1, m1 in left.items():
-            for t2, m2 in right.items():
-                m = m1 & m2
-                if m:
-                    out[t1 + t2] = m
-        return out
-    pairs = sorted(s)
-    drop = {i2 for _, i2 in pairs}
-    keep = [i - 1 for i in range(1, j + 1) if i not in drop]
-    index: Dict[tuple, list] = {}
+    """Hash join on the index pairs in s, ANDing the masks; it follows
+    relalg.join_plan, so an empty or ill-formed s gives the cartesian
+    product, as in relalg.natural_join."""
+    plan = join_plan(s, k, j)
+    key2, rest2 = plan.key2, plan.rest2
+    index: Dict[object, list] = {}
     for t2, m2 in right.items():
-        key = tuple(t2[i2 - 1] for _, i2 in pairs)
-        index.setdefault(key, []).append((tuple(t2[i] for i in keep), m2))
+        index.setdefault(key2(t2), []).append((rest2(t2), m2))
+    out: Masks = {}
+    key1 = plan.key1
     for t1, m1 in left.items():
-        for rest, m2 in index.get(tuple(t1[i1 - 1] for i1, _ in pairs), ()):
+        for rest, m2 in index.get(key1(t1), ()):
             m = m1 & m2
             if m:
                 out[t1 + rest] = m

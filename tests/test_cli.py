@@ -2,6 +2,8 @@
 import pytest
 
 from intlog.cli import main
+from intlog.files import data_text
+from intlog.gen import MAX_DEPTH
 from intlog.relalg import rel
 
 SIG = """\
@@ -298,6 +300,38 @@ def test_bad_generator_input_exits_2(paths, capsys, sig, extra):
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def test_depth_beyond_the_generator_limit_exits_2(paths, capsys):
+    for command in ("check-diagram", "check-constraint"):
+        code, out, err = run(capsys, command, "--sig", paths["sig"], "--enumerate", "a",
+                             "--random", "1", "--depth", "100000")
+        assert code == 2
+        assert f"[0, {MAX_DEPTH}]" in err
+        assert "nested too deeply" not in err
+        assert out == ""
+
+
+def test_negative_random_count_exits_2(paths, capsys):
+    # with the bundled signature the corpus fallback runs cleanly, so a
+    # count that generated nothing used to pass unnoticed
+    sig_path = paths["dir"] / "corpus_sig.txt"
+    sig_path.write_text(data_text("corpus_sig.txt"))
+    for command in ("check-diagram", "check-constraint"):
+        code, out, err = run(capsys, command, "--sig", str(sig_path), "--enumerate", "a,b",
+                             "--random", "-3")
+        assert code == 2
+        assert err.startswith("error: --random")
+        assert out == ""
+
+
+def test_zero_random_count_adds_no_formulas(paths, capsys):
+    formulas = paths["dir"] / "f.txt"
+    formulas.write_text("p(c)\nexists x . q(x, x)\n")
+    code, out, _ = run(capsys, "check-diagram", "--sig", paths["sig"], "--world", paths["w1"],
+                       "--formulas", str(formulas), "--random", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "checked 2 pairs over 1 worlds: 0 mismatches"
 
 
 class TestCheckConstraint:

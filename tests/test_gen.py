@@ -6,7 +6,9 @@ from importlib import resources
 import pytest
 
 from intlog.gen import (
+    MAX_DEPTH,
     FormulaGenerator,
+    GeneratorError,
     corpus_abstractions,
     corpus_formulas,
     corpus_signature,
@@ -14,6 +16,7 @@ from intlog.gen import (
 )
 from intlog.semantics import World, check_diagram
 from intlog.relalg import Particular, rel
+from intlog.syntax import MAX_DEPTH as PARSE_MAX_DEPTH
 from intlog.syntax import (
     Abstraction,
     Atom,
@@ -23,6 +26,7 @@ from intlog.syntax import (
     Neg,
     PredicateSymbol,
     Variable,
+    _depth,
     free_vars,
     format_formula,
     make_signature,
@@ -111,6 +115,46 @@ def test_parameter_validation():
         FormulaGenerator(SIG, var_pool=())
     with pytest.raises(ValueError, match="no predicates"):
         FormulaGenerator(make_signature())
+    with pytest.raises(GeneratorError, match=f"\\[0, {MAX_DEPTH}\\]"):
+        FormulaGenerator(SIG, depth=MAX_DEPTH + 1)
+
+
+class _PathGenerator(FormulaGenerator):
+    """Only one-operand connectives and, over a unary predicate, atoms
+    with one argument, so even a formula of full depth is a single path
+    from root to leaf."""
+
+    _KINDS = ("atom", "neg", "exists", "forall")
+    _WEIGHTS = (1, 1, 1, 6)
+
+
+class _ForallGenerator(FormulaGenerator):
+    """Always `forall`, one of the deepest expansions a budget unit has."""
+
+    _KINDS = ("forall",)
+    _WEIGHTS = (1,)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_max_depth_formulas_stay_within_the_parser_limit(seed):
+    sig = make_signature(preds=[("p", 1)])
+    w = World("w", (A,), {}, {PredicateSymbol("p", 1): rel(1, [(A,)])})
+    gen = _PathGenerator(sig, seed=seed, depth=MAX_DEPTH, abs_prob=1.0)
+    for f in gen.formulas(5):
+        assert _depth(f) <= PARSE_MAX_DEPTH
+        # both routes walk it
+        assert check_diagram(f, w).ok
+
+
+def test_max_depth_is_the_largest_safe_budget():
+    gen = _ForallGenerator(SIG, seed=0, depth=MAX_DEPTH, abs_prob=0.0)
+    f = gen.formula()
+    assert _depth(f) <= PARSE_MAX_DEPTH
+    w = World("w", (A,), {}, {PredicateSymbol("p", 1): rel(1, [(A,)]),
+                              PredicateSymbol("q", 2): rel(2, [])})
+    assert check_diagram(f, w).ok
+    # one unit more is too deep for the parser, whatever the leaf
+    assert _depth(gen.formula(MAX_DEPTH + 1)) > PARSE_MAX_DEPTH
 
 
 class TestCorpus:

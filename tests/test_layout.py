@@ -86,3 +86,14 @@ def test_no_module_touches_private_attributes_only_another_defines():
             ):
                 offenders.append(f"{name}:{node.lineno}: .{node.attr}")
     assert offenders == []
+
+
+def test_values_in_hot_sets_hash_and_compare_in_c():
+    # domain elements fill every relation's tuples and predicates every
+    # memo key; a dataclass would hash and compare them in Python
+    from intlog.relalg import Particular
+    from intlog.syntax import PredicateSymbol
+
+    for cls in (Particular, PredicateSymbol):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__

@@ -18,6 +18,7 @@ from intlog.relalg import (
     ConceptHandle,
     Particular,
     Relation,
+    RelationError,
     complement,
     element_key,
     f_truth,
@@ -333,6 +334,22 @@ class TestRelationValue:
         with pytest.raises(AttrError):
             r.with_attrs(("x", "x"))
 
+    def test_bare_element_is_not_a_row(self):
+        # a Particular is a tuple, so only an explicit check keeps it
+        # from passing as a row of its name's characters
+        for bad in (A, ConceptHandle(3)):
+            with pytest.raises(RelationError, match="bare element"):
+                rel(1, [bad])
+            with pytest.raises(RelationError, match="bare element"):
+                Relation(1, frozenset({bad}))
+        assert rel(1, [(A,)]).tuples == frozenset({(A,)})
+
+    def test_particular_is_a_value(self):
+        assert A == Particular("a") and hash(A) == hash(("a",))
+        assert str(A) == "a"
+        assert repr(A) == "Particular(name='a')"
+        assert A.name == "a"
+
     def test_trusted_relation_equals_the_checked_one(self):
         t = trusted_relation(2, frozenset({(A, B)}), ("x", "y"))
         assert t == rel(2, [(A, B)], attrs=("x", "y"))
@@ -387,12 +404,13 @@ class TestRelationValue:
 elements = st.sampled_from([A, B, C])
 
 
-def relations(max_arity=3, labeled=False):
+def relations(max_arity=3, labeled=False, prefix="c"):
     def build(arity):
         rows = st.frozensets(
             st.tuples(*([elements] * arity)).map(tuple), max_size=8
         )
-        attrs = st.just(tuple(f"c{i}" for i in range(arity))) if labeled else st.just(None)
+        labels = tuple(f"{prefix}{i}" for i in range(arity))
+        attrs = st.just(labels) if labeled else st.just(None)
         return st.builds(lambda t, a: Relation(arity, t, a), rows, attrs)
 
     return st.integers(min_value=0, max_value=max_arity).flatmap(build)
@@ -405,29 +423,47 @@ def test_complement_involution(r):
     assert complement(complement(r, dom), dom) == r
 
 
-@settings(max_examples=60)
-@given(relations(max_arity=2), relations(max_arity=2), st.data())
+@settings(max_examples=200)
+@given(
+    st.one_of(relations(), relations(labeled=True)),
+    # right labels either clash with the left's ("c") or do not ("d")
+    st.one_of(relations(), relations(labeled=True), relations(labeled=True, prefix="d")),
+    st.data(),
+)
 def test_join_arity_law(r1, r2, data):
-    if r1.arity == 0 or r2.arity == 0:
-        s = frozenset()
-    else:
-        n = data.draw(st.integers(min_value=1, max_value=r2.arity))
-        i2s = data.draw(
-            st.lists(
-                st.integers(1, r2.arity), min_size=n, max_size=n, unique=True
-            )
-        )
-        i1s = data.draw(st.lists(st.integers(1, r1.arity), min_size=n, max_size=n))
+    k, j = r1.arity, r2.arity
+    well_formed = k > 0 and j > 0 and data.draw(st.booleans())
+    if well_formed:
+        n = data.draw(st.integers(min_value=1, max_value=j))
+        i2s = data.draw(st.lists(st.integers(1, j), min_size=n, max_size=n, unique=True))
+        i1s = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
         s = frozenset(zip(i1s, i2s))
-    out = natural_join(r1, r2, s)
-    if s:
-        assert join_spec_ok(s, r1.arity, r2.arity)
-        assert out.arity == r1.arity + r2.arity - len(s)
-        assert out.tuples == frozenset(
-            oracle_join(list(r1.tuples), list(r2.tuples), s, r2.arity)
-        )
+    elif k > 0 and j > 0:
+        # ill-formed: a right column matched twice, or a column out of range
+        i1, i2 = data.draw(st.integers(1, k)), data.draw(st.integers(1, j))
+        if k >= 2 and data.draw(st.booleans()):
+            bad = (i1 % k + 1, i2)
+        else:
+            bad = data.draw(st.sampled_from([(0, i2), (k + 1, i2), (i1, 0), (i1, j + 1)]))
+        s = frozenset({(i1, i2), bad})
     else:
-        assert out.arity == r1.arity + r2.arity
+        s = frozenset()
+    assert (bool(s) and join_spec_ok(s, k, j)) == well_formed
+    out = natural_join(r1, r2, s)
+    if well_formed:
+        dropped = {i2 for _, i2 in s}
+        kept = [i for i in range(1, j + 1) if i not in dropped]
+        assert out.arity == k + j - len(s)
+        assert out.tuples == frozenset(oracle_join(list(r1.tuples), list(r2.tuples), s, j))
+    else:
+        kept = list(range(1, j + 1))
+        assert out.arity == k + j
+        assert out.tuples == frozenset(oracle_cartesian(r1.tuples, r2.tuples))
+    labels = None
+    if r1.attrs is not None and r2.attrs is not None:
+        merged = r1.attrs + tuple(r2.attrs[i - 1] for i in kept)
+        labels = merged if len(set(merged)) == len(merged) else None
+    assert out.attrs == labels
 
 
 @settings(max_examples=60)
