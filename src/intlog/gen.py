@@ -47,10 +47,19 @@ from .syntax import (
 #: keeps every generated formula within the parser's MAX_DEPTH.
 MAX_DEPTH = (PARSE_MAX_DEPTH - 2) // 3
 
+#: The most formula nodes one top-level formula may take (a derived
+#: connective counts once).  Depth alone does not bound size: formulas
+#: of depth 30 can reach about 15,000 nodes, and the count grows about
+#: six-fold per ten levels.
+MAX_NODES = 100_000
+
+#: The variables generated formulas use.
+VAR_POOL = ("x", "y", "z")
+
 
 class GeneratorError(IntlogError, ValueError):
-    """A generator parameter is out of range, or the signature gives
-    the generator nothing to build atoms from."""
+    """A generator parameter is out of range, the signature gives the
+    generator nothing to build atoms from, or a formula grows too large."""
 
 
 class FormulaGenerator:
@@ -59,7 +68,8 @@ class FormulaGenerator:
     depth bounds the connective nesting budget (derived connectives
     spend one unit and expand afterwards) and lies in [0, MAX_DEPTH];
     abs_prob is the chance that an argument position holds a reified
-    abstraction instead of a base term, while budget remains.
+    abstraction instead of a base term, while budget remains.  A formula
+    that grows past MAX_NODES raises GeneratorError.
     """
 
     def __init__(
@@ -68,25 +78,22 @@ class FormulaGenerator:
         seed: int = 0,
         depth: int = 3,
         abs_prob: float = 0.2,
-        var_pool: Sequence[str] = ("x", "y", "z"),
         elem_names: Sequence[str] = (),
     ):
         if not 0 <= depth <= MAX_DEPTH:
             raise GeneratorError(f"depth must lie in [0, {MAX_DEPTH}], got {depth}")
         if not 0.0 <= abs_prob <= 1.0:
             raise GeneratorError("abs_prob must lie in [0, 1]")
-        if not var_pool:
-            raise GeneratorError("the variable pool must be non-empty")
         self.sig = sig
         self.depth = depth
         self.abs_prob = abs_prob
-        self.var_pool = tuple(var_pool)
         self.preds = [PredicateSymbol(n, a) for n, a in sorted(sig.preds)]
         if not self.preds:
             raise GeneratorError("the signature declares no predicates")
         self.consts = sorted(sig.consts)
         self.elem_terms = tuple(parse_term(f"#{n}", sig) for n in elem_names)
         self.rng = random.Random(seed)
+        self._nodes = 0
 
     # -- terms --------------------------------------------------------
 
@@ -96,7 +103,7 @@ class FormulaGenerator:
             return Constant(self.rng.choice(self.consts))
         if self.elem_terms and roll < 0.3:
             return self.rng.choice(self.elem_terms)
-        return Variable(self.rng.choice(self.var_pool))
+        return Variable(self.rng.choice(VAR_POOL))
 
     def term(self, budget: int) -> Term:
         if budget > 0 and self.rng.random() < self.abs_prob:
@@ -114,6 +121,7 @@ class FormulaGenerator:
         of the body's free variables."""
         if budget is None:
             budget = self.depth
+        self._nodes = 0
         body = self.formula(max(budget - 1, 0))
         fv = list(free_vars(body))
         picks = sorted(self.rng.sample(range(len(fv)), self.rng.randint(0, len(fv))))
@@ -137,8 +145,15 @@ class FormulaGenerator:
     _WEIGHTS = (4, 3, 3, 3, 2, 2, 2)
 
     def formula(self, budget: int = None) -> Formula:
+        """A random formula; without a budget, a new top-level one."""
         if budget is None:
             budget = self.depth
+            self._nodes = 0
+        self._nodes += 1
+        if self._nodes > MAX_NODES:
+            raise GeneratorError(
+                f"a random formula grew past {MAX_NODES} nodes; use a smaller --depth"
+            )
         if budget == 0:
             return self.atom(0)
         kind = self.rng.choices(self._KINDS, weights=self._WEIGHTS)[0]
@@ -149,9 +164,9 @@ class FormulaGenerator:
         if kind == "conj":
             return Conj(self.formula(budget - 1), self.formula(budget - 1))
         if kind == "exists":
-            return Exists(self.rng.choice(self.var_pool), self.formula(budget - 1))
+            return Exists(self.rng.choice(VAR_POOL), self.formula(budget - 1))
         if kind == "forall":
-            return mk_forall(self.rng.choice(self.var_pool), self.formula(budget - 1))
+            return mk_forall(self.rng.choice(VAR_POOL), self.formula(budget - 1))
         if kind == "or":
             return mk_or(self.formula(budget - 1), self.formula(budget - 1))
         return mk_implies(self.formula(budget - 1), self.formula(budget - 1))

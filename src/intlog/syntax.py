@@ -1,12 +1,8 @@
 """Surface syntax: lexing, parsing, desugaring, and formula utilities.
 
-Grammar (loosest to tightest binding):
+Grammar:
 
-    formula := iff
-    iff     := impl ("<->" impl)*
-    impl    := disj ("->" impl)?          right associative
-    disj    := conj ("|" conj)*
-    conj    := unary ("&" unary)*
+    formula := unary (BINOP unary)*
     unary   := "~" unary
              | ("exists" | "forall" | "exists1") VAR "." formula
              | atom
@@ -16,9 +12,12 @@ Grammar (loosest to tightest binding):
     term    := VAR | CONST | "#" IDENT
              | "<<" formula ">>" "_{" varlist? "}" ("^{" varlist? "}")?
 
-Quantifier scope extends as far right as possible.  Derived connectives
-(|, ->, <->, forall, exists1, false) are desugared during parsing, so a
-parsed formula only ever contains Atom, Conj, Neg and Exists nodes.
+BINOP ranges over one precedence table, loosest to tightest binding:
+`<->`, `->`, `|`, `&`; `->` is right associative, the others left
+associative.  Quantifier scope extends as far right as possible.
+Derived connectives (|, ->, <->, forall, exists1, false) are desugared
+during parsing, so a parsed formula only ever contains Atom, Conj, Neg
+and Exists nodes.
 The parser rejects a formula whose desugared tree is deeper than
 MAX_DEPTH, so every recursive walk over a parsed formula fits in the
 interpreter's stack.
@@ -42,7 +41,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import IntlogError
-from .relalg import ConceptHandle, DomainElement, Particular, element_name
+from .relalg import DomainElement, element_name
 
 
 class LexError(IntlogError):
@@ -357,6 +356,20 @@ def mk_exists_unique(var: str, f: Formula) -> Formula:
 # parser
 # ---------------------------------------------------------------------------
 
+#: Binary connectives: token -> (precedence, lowest precedence the right
+#: operand may contain, builder).  A floor one above the operator's own
+#: precedence makes it left associative; `->` takes its own as the floor,
+#: so it is right associative.
+_BINARY = {
+    "<->": (1, 2, mk_iff),
+    "->": (2, 2, mk_implies),
+    "|": (3, 4, mk_or),
+    "&": (4, 5, Conj),
+}
+
+_QUANTIFIERS = {"exists": Exists, "forall": mk_forall, "exists1": mk_exists_unique}
+
+
 class _Parser:
     def __init__(self, tokens: list, sig: Signature):
         self.tokens = tokens
@@ -383,49 +396,25 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.peek().value == value
 
-    # formula levels -------------------------------------------------
+    # formulas -------------------------------------------------------
 
-    def formula(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")
-        return f
-
-    def iff(self) -> Formula:
-        f = self.impl()
-        while self.at("<->"):
-            self.next()
-            f = mk_iff(f, self.impl())
-        return f
-
-    def impl(self) -> Formula:
-        f = self.disj()
-        if self.at("->"):
-            self.next()
-            return mk_implies(f, self.impl())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.at("|"):
-            self.next()
-            f = mk_or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def formula(self, lowest: int = 1) -> Formula:
+        """Precedence climbing: fold binary operators that bind at
+        least as tightly as `lowest`."""
         f = self.unary()
-        while self.at("&"):
+        while True:
+            op = _BINARY.get(self.peek().value)
+            if op is None or op[0] < lowest:
+                return f
             self.next()
-            f = Conj(f, self.unary())
-        return f
+            f = op[2](f, self.formula(op[1]))
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.value == "~":
             self.next()
             return Neg(self.unary())
-        if tok.value in ("exists", "forall", "exists1"):
+        if tok.kind == "IDENT" and tok.value in _QUANTIFIERS:
             self.next()
             var = self.next()
             if var.kind != "IDENT" or not self.sig.is_var(var.value):
@@ -434,21 +423,18 @@ class _Parser:
                     f" at position {var.pos}"
                 )
             self.expect(".")
-            body = self.iff()  # maximal scope
-            if tok.value == "exists":
-                return Exists(var.value, body)
-            if tok.value == "forall":
-                return mk_forall(var.value, body)
-            return mk_exists_unique(var.value, body)
+            return _QUANTIFIERS[tok.value](var.value, self.formula())  # maximal scope
         if tok.value == "(":
             self.next()
-            f = self.iff()
+            f = self.formula()
             self.expect(")")
             return f
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.peek()
+        if tok.kind == "ELEM" or tok.value == "<<":
+            return self.identity()
         if tok.value == "true":
             self.next()
             return Atom(TRUE_PRED, ())
@@ -471,8 +457,6 @@ class _Parser:
                     f"predicate {name} used with 0 arguments, declared {arities}"
                 )
             raise ParseError(f"unknown identifier {name!r} at position {tok.pos}")
-        if tok.kind == "ELEM" or tok.value == "<<":
-            return self.identity()
         raise ParseError(
             f"expected a formula, found {tok.value or 'end of input'!r}"
             f" at position {tok.pos}"
@@ -532,7 +516,7 @@ class _Parser:
 
     def abstraction(self) -> Abstraction:
         self.expect("<<")
-        body = self.iff()
+        body = self.formula()
         self.expect(">>")
         self.expect("_{")
         alpha = self.varlist()
@@ -652,6 +636,20 @@ def _checked_depth(x, n_tokens: int):
     return x
 
 
+def _parse(text: str, sig: Signature, rule):
+    """Run one parser rule over the whole text."""
+    tokens = _lex(text)
+    p = _Parser(tokens, sig)
+    try:
+        x = rule(p)
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
+    tok = p.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")
+    return _checked_depth(x, len(tokens))
+
+
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse and desugar a formula.
 
@@ -659,11 +657,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         ParseError: also when the formula is nested deeper than
             MAX_DEPTH.
     """
-    tokens = _lex(text)
-    try:
-        return _checked_depth(_Parser(tokens, sig).formula(), len(tokens))
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
+    return _parse(text, sig, _Parser.formula)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
@@ -672,15 +666,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     Raises:
         ParseError: also when the term is nested deeper than MAX_DEPTH.
     """
-    p = _Parser(_lex(text), sig)
-    try:
-        t = p.term()
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")
-    return _checked_depth(t, len(p.tokens))
+    return _parse(text, sig, _Parser.term)
 
 
 # ---------------------------------------------------------------------------
@@ -727,28 +713,16 @@ def free_vars(f: Formula) -> Tuple[str, ...]:
 def all_var_names(f: Formula) -> set:
     """Every variable name occurring in f, free or bound."""
     names = set()
-
-    def walk_term(t: Term):
-        if isinstance(t, Variable):
-            names.add(t.name)
-        elif isinstance(t, Abstraction):
-            names.update(t.alpha)
-            walk(t.body)
-
-    def walk(g: Formula):
-        if isinstance(g, Atom):
-            for a in g.args:
-                walk_term(a)
-        elif isinstance(g, Conj):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Neg):
-            walk(g.sub)
-        elif isinstance(g, Exists):
-            names.add(g.var)
-            walk(g.sub)
-
-    walk(f)
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Variable):
+            names.add(node.name)
+        elif isinstance(node, Exists):
+            names.add(node.var)
+        elif isinstance(node, Abstraction):
+            names.update(node.alpha)
+        stack.extend(_children(node))
     return names
 
 

@@ -312,6 +312,18 @@ def test_depth_beyond_the_generator_limit_exits_2(paths, capsys):
         assert out == ""
 
 
+def test_oversized_random_formula_exits_2(paths, capsys, monkeypatch):
+    import intlog.gen as gen
+
+    monkeypatch.setattr(gen, "MAX_NODES", 20)
+    for command in ("check-diagram", "check-constraint"):
+        code, out, err = run(capsys, command, "--sig", paths["sig"], "--enumerate", "a",
+                             "--random", "1", "--depth", "20")
+        assert code == 2
+        assert err == "error: a random formula grew past 20 nodes; use a smaller --depth\n"
+        assert out == ""
+
+
 def test_negative_random_count_exits_2(paths, capsys):
     # with the bundled signature the corpus fallback runs cleanly, so a
     # count that generated nothing used to pass unnoticed

@@ -7,6 +7,7 @@ import pytest
 
 from intlog.gen import (
     MAX_DEPTH,
+    MAX_NODES,
     FormulaGenerator,
     GeneratorError,
     corpus_abstractions,
@@ -111,8 +112,6 @@ def test_parameter_validation():
         FormulaGenerator(SIG, depth=-1)
     with pytest.raises(ValueError, match="abs_prob"):
         FormulaGenerator(SIG, abs_prob=1.5)
-    with pytest.raises(ValueError, match="pool"):
-        FormulaGenerator(SIG, var_pool=())
     with pytest.raises(ValueError, match="no predicates"):
         FormulaGenerator(make_signature())
     with pytest.raises(GeneratorError, match=f"\\[0, {MAX_DEPTH}\\]"):
@@ -142,6 +141,7 @@ def test_max_depth_formulas_stay_within_the_parser_limit(seed):
     gen = _PathGenerator(sig, seed=seed, depth=MAX_DEPTH, abs_prob=1.0)
     for f in gen.formulas(5):
         assert _depth(f) <= PARSE_MAX_DEPTH
+        assert parse_formula(format_formula(f), sig) == f
         # both routes walk it
         assert check_diagram(f, w).ok
 
@@ -150,11 +150,30 @@ def test_max_depth_is_the_largest_safe_budget():
     gen = _ForallGenerator(SIG, seed=0, depth=MAX_DEPTH, abs_prob=0.0)
     f = gen.formula()
     assert _depth(f) <= PARSE_MAX_DEPTH
+    assert parse_formula(format_formula(f), SIG) == f
     w = World("w", (A,), {}, {PredicateSymbol("p", 1): rel(1, [(A,)]),
                               PredicateSymbol("q", 2): rel(2, [])})
     assert check_diagram(f, w).ok
     # one unit more is too deep for the parser, whatever the leaf
     assert _depth(gen.formula(MAX_DEPTH + 1)) > PARSE_MAX_DEPTH
+
+
+class _ConjGenerator(FormulaGenerator):
+    """Always `&`, so a formula of depth d has 2^(d+1) - 1 nodes."""
+
+    _KINDS = ("conj",)
+    _WEIGHTS = (1,)
+
+
+def test_formula_size_is_bounded():
+    # depth 18 would take five times MAX_NODES
+    assert 2 ** 19 > 5 * MAX_NODES
+    gen = _ConjGenerator(SIG, seed=0, depth=18, abs_prob=0.0)
+    with pytest.raises(GeneratorError, match=f"past {MAX_NODES} nodes.*--depth"):
+        gen.formula()
+    # the count starts afresh for every top-level formula
+    small = _ConjGenerator(SIG, seed=0, depth=10, abs_prob=0.0)
+    assert len(small.formulas(100)) == 100
 
 
 class TestCorpus:

@@ -97,3 +97,29 @@ def test_values_in_hot_sets_hash_and_compare_in_c():
     for cls in (Particular, PredicateSymbol):
         assert cls.__hash__ is tuple.__hash__
         assert cls.__eq__ is tuple.__eq__
+
+
+def test_no_unused_imports():
+    # names listed in __all__ and import lines marked `# noqa` are
+    # re-exports, used by other modules only
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                    offenders.append(f"{path.name}:{alias.lineno}: {name}")
+    assert offenders == []

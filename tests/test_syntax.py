@@ -6,6 +6,7 @@ from intlog.files import load_formulas, load_signature
 from intlog.relalg import ConceptHandle, Particular
 from intlog.syntax import (
     ID_PRED,
+    MAX_DEPTH,
     TRUE_PRED,
     AbstractionError,
     Abstraction,
@@ -93,6 +94,26 @@ class TestParse:
             atom("p", "x"), mk_implies(atom("s"), atom("p", "y"))
         )
         assert P("p(x) <-> s") == mk_iff(atom("p", "x"), atom("s"))
+        # <-> chains to the left, -> to the right
+        assert P("p(x) <-> s <-> p(y)") == mk_iff(
+            mk_iff(atom("p", "x"), atom("s")), atom("p", "y")
+        )
+        assert P("p(x) -> s -> p(y) -> p(z)") == mk_implies(
+            atom("p", "x"),
+            mk_implies(atom("s"), mk_implies(atom("p", "y"), atom("p", "z"))),
+        )
+        assert P("p(x) | s & p(y)") == mk_or(
+            atom("p", "x"), Conj(atom("s"), atom("p", "y"))
+        )
+        assert P("p(x) -> s <-> p(y)") == mk_iff(
+            mk_implies(atom("p", "x"), atom("s")), atom("p", "y")
+        )
+        assert P("p(x) <-> s -> p(y)") == mk_iff(
+            atom("p", "x"), mk_implies(atom("s"), atom("p", "y"))
+        )
+        assert P("~p(x) & s | ~s") == mk_or(
+            Conj(Neg(atom("p", "x")), atom("s")), Neg(atom("s"))
+        )
 
     def test_quantifier_scope_is_maximal(self):
         assert P("exists x . p(x) & q(x,x)") == P("exists x . (p(x) & q(x,x))")
@@ -183,7 +204,7 @@ class TestParse:
                 P(bad)
 
     @pytest.mark.parametrize(
-        "text", ["~" * 1000 + "p(x)", "(" * 400 + "p(x)" + ")" * 400]
+        "text", ["~" * 1000 + "p(x)", "(" * 1000 + "p(x)" + ")" * 1000]
     )
     def test_deep_nesting_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="^formula nested too deeply$"):
@@ -192,6 +213,29 @@ class TestParse:
             parse_term(f"<< {text} >>_{{x}}", SIG)
         with pytest.raises(ParseError, match="^deep.txt:2: formula nested too deeply$"):
             load_formulas(f"p(x)\n{text}\n", SIG, "deep.txt")
+
+    def test_parentheses_add_no_depth(self):
+        assert P("(" * 400 + "p(x)" + ")" * 400) == atom("p", "x")
+
+    def test_negated_exists_chain_parses_up_to_max_depth(self):
+        # two nodes per level, plus the atom and its variable
+        def chain(n):
+            return "~(exists x . " * n + "p(x)" + ")" * n
+
+        f = P(chain(149))
+        assert _depth(f) == 300
+        assert P(format_formula(f)) == f
+        with pytest.raises(ParseError, match="^formula nested too deeply$"):
+            P(chain(150))
+
+    def test_printed_conjunction_chains_parse_back(self):
+        q = atom("q", "x", "y")
+        left = right = q
+        for _ in range(MAX_DEPTH - 2):
+            left, right = Conj(left, q), Conj(q, right)
+        for f in (left, right):
+            assert _depth(f) == MAX_DEPTH
+            assert P(format_formula(f)) == f
 
     @pytest.mark.parametrize(
         "text",
@@ -401,6 +445,9 @@ ROUND_TRIP_CASES = [
     "~true",
     "x == y",
     "c == #a",
+    # elements named like keywords
+    "#true == x",
+    "#exists == #forall",
     "(p(x) & ~q(x, y))",
     "(exists x . q(x, y))",
     "~(exists x . ~p(x))",
