@@ -295,6 +295,13 @@ def natural_join(r1: Relation, r2: Relation, s) -> Relation:
     return trusted_relation(plan.arity, frozenset(out), attrs)
 
 
+@lru_cache(maxsize=16)
+def _power(domain: frozenset, ident: int, k: int) -> frozenset:
+    """domain^k, cached per domain object (its id is in the key): equal
+    domains may name a reified element differently (`ConceptHandle`)."""
+    return frozenset(itertools.product(domain, repeat=k))
+
+
 def complement(r: Relation, domain: Iterable) -> Relation:
     """The complement of r within domain^arity.  A frozenset domain
     (such as `World.domain`) is used as it is, without a copy.
@@ -305,11 +312,12 @@ def complement(r: Relation, domain: Iterable) -> Relation:
     if r.arity == 0:
         return trusted_relation(0, FALSE.tuples if r.tuples else TRUE.tuples, r.attrs)
     dom = domain if isinstance(domain, frozenset) else frozenset(domain)
-    for t in r.tuples:
-        for e in t:
-            if e not in dom:
-                raise DomainError(f"element {element_name(e)} not in domain")
-    full = frozenset(itertools.product(dom, repeat=r.arity))
+    full = _power(dom, id(dom), r.arity)
+    if not r.tuples <= full:
+        for t in r.tuples:
+            for e in t:
+                if e not in dom:
+                    raise DomainError(f"element {element_name(e)} not in domain")
     return trusted_relation(r.arity, full - r.tuples, r.attrs)
 
 

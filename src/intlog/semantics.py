@@ -327,6 +327,8 @@ def _atom_extension(u: Concept, w: World) -> Relation:
 
 
 def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relation:
+    """u's extension in w, through memo unless it is None.  A necess is
+    the box of its body, from the world set's bitmask tables."""
     if memo is not None:
         try:
             key = (u.cid, u.relation_key(w._relations))
@@ -355,10 +357,7 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relat
             raise SemanticsError(
                 "necess needs a world that belongs to a world set"
             )
-        # the members share memo, so members that agree on the relations
-        # u.subs[0] reads share its extension too
-        parts = [_ext(u.subs[0], w2, memo) for w2 in ws.worlds]
-        r = trusted_relation(u.degree, frozenset.intersection(*(p.tuples for p in parts)))
+        r = ws.box_extension(u.subs[0])
     elif kind == "id":
         r = w.pred_map[ID_PRED]
     elif kind == "truth":
@@ -375,13 +374,13 @@ def extensionalize(u: Concept, w: World) -> Relation:
     Results are memoized in the world's memo, under the concept id and
     the relations it reads, so members of a world set that hold equal
     relations share one result, and a necess concept (which reads none)
-    is evaluated once per set."""
+    is taken once per set from the set's bitmask tables."""
     return _ext(u, w, w._memo)
 
 
 def extensionalize_nomemo(u: Concept, w: World) -> Relation:
-    """Same result, no cache reads or writes (cache-transparency checks
-    and one-shot ground evaluations)."""
+    """Same result, bypassing the extension memo, though a necess fills
+    its set's bitmask tables (cache-transparency checks, ground formulas)."""
     return _ext(u, w, None)
 
 

@@ -17,7 +17,8 @@ the way a symbolic model checker evaluates a formula over a set of
 states.  `semantics.extensionalize` stays the per-world route, so the
 two can be checked against each other world by world; its memo is
 shared by the members of a set, so members that agree on the relations
-a concept reads compute its extension once.
+a concept reads compute its extension once.  A necess is the exception:
+it takes the box of its body from these tables (`WorldSet.box_extension`).
 
 Besides explicit files, small signatures can be swept exhaustively:
 `enumerate_worlds` produces every assignment of extensions to the
@@ -154,6 +155,10 @@ class WorldSet:
     def __repr__(self) -> str:
         return f"<world set {self.name}: {len(self.worlds)} worlds, |D|={len(self.domain)}>"
 
+    def box_extension(self, u: Concept) -> Relation:
+        """`box_extension` over this set, for semantics' necess branch."""
+        return box_extension(u, self)
+
     def clear_memos(self) -> None:
         # the members share one extension memo
         self.worlds[0].clear_memo()
@@ -178,23 +183,25 @@ def enumerate_worlds(
 
     Constants are not guessed: a signature with constants needs an
     explicit const_map (element names or elements), shared by every
-    world.  Each predicate's candidate relations are built once and
-    shared by the worlds that have them.
+    world.  Each predicate's candidate relations, and the element-name
+    table, are built once and shared by the worlds that have them.
     """
     elems = []
     seen = set()
+    by_name: Dict[str, DomainElement] = {}
     for d in domain:
         e = Particular(d) if isinstance(d, str) else d
-        if e in seen:
-            raise EnumerationError(f"duplicate domain element {element_name(e)}")
+        n = element_name(e)
+        if e in seen or n in by_name:
+            raise EnumerationError(f"duplicate domain element {n}")
         seen.add(e)
+        by_name[n] = e
         elems.append(e)
     if not elems:
         raise EnumerationError("enumeration needs a non-empty domain")
     elems.sort(key=element_key)
 
     consts: Dict[str, DomainElement] = {}
-    by_name = {element_name(e): e for e in elems}
     for c in sorted(sig.consts):
         if const_map is None or c not in const_map:
             raise EnumerationError(f"constant {c} needs an explicit denotation")
@@ -225,7 +232,7 @@ def enumerate_worlds(
     ]
     dom = frozenset(elems)
     worlds = [
-        World(f"w{idx}", dom, consts, dict(zip(preds, rels)))
+        World(f"w{idx}", dom, consts, dict(zip(preds, rels)), by_name)
         for idx, rels in enumerate(itertools.product(*candidates))
     ]
     return WorldSet(worlds, name=f"enum{len(worlds)}")

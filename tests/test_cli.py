@@ -239,6 +239,23 @@ class TestCheckDiagram:
         assert code == 0
         assert "over 64 worlds" in out
 
+    def test_enumerate_resolves_element_literals(self, paths, capsys):
+        src = paths["dir"] / "literals.txt"
+        src.write_text("p(#a)\n(#b == x)\nq(#a, x) -> p(#b)\n")
+        code, out, _ = run(capsys, "check-diagram", "--sig", paths["sig"],
+                           "--enumerate", "a,b", "--const", "c=a",
+                           "--formulas", str(src), "--format", "records")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3 * 64 + 1
+        assert all(" ok=true" in l for l in lines[:-1])
+        src.write_text("p(#z)\n")
+        code, _, err = run(capsys, "check-diagram", "--sig", paths["sig"],
+                           "--enumerate", "a,b", "--const", "c=a",
+                           "--formulas", str(src))
+        assert code == 2
+        assert "unknown element #z in world w0" in err
+
     def test_exactly_one_source(self, paths, capsys):
         code, _, err = run(capsys, "check-diagram", "--sig", paths["sig"],
                            "--world", paths["w1"], "--worlds", paths["ws2"])

@@ -180,8 +180,10 @@ class TestComplement:
         assert out.tuples == frozenset(oracle_complement(set(), {A, B}, 2))
 
     def test_element_outside_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^element c not in domain$"):
             complement(rel(1, [(C,)]), {A, B})
+        with pytest.raises(DomainError, match="^element c not in domain$"):
+            complement(rel(2, [(A, B), (B, C)]), frozenset({A, B}))
 
     def test_involution_exhaustive(self):
         dom = (A, B)
@@ -200,6 +202,30 @@ class TestComplement:
             assert complement(r, dom) == want
         with pytest.raises(DomainError):
             complement(r, frozenset({A}))
+
+    def test_result_keeps_the_domain_element_names(self):
+        # equal domains (a handle equals by concept id), different names
+        for name in ("unicorn", "u2", "unicorn"):
+            out = complement(rel(1, [(A,)]), frozenset({A, ConceptHandle(7, name)}))
+            assert format_relation(out).split("\n")[1:] == [name]
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "form", [frozenset, list, lambda d: (e for e in d)],
+        ids=["frozenset", "list", "generator"],
+    )
+    def test_every_domain_form_and_arity(self, arity, form):
+        handle = ConceptHandle(7, "unicorn")
+        dom = (A, B, handle)
+        space = sorted(itertools.product(dom, repeat=arity), key=str)
+        for r in (rel(arity, []), rel(arity, space[::3]), rel(arity, space)):
+            out = complement(r, form(dom))
+            assert out.tuples == set(itertools.product(dom, repeat=arity)) - r.tuples
+            assert complement(r, form(dom)) == out
+        with pytest.raises(DomainError, match="^element c not in domain$"):
+            complement(rel(arity, [(C,) * arity]), form(dom))
+        assert complement(TRUE, form(dom)) == FALSE
+        assert complement(FALSE, form(dom)) == TRUE
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ from intlog.syntax import (
     parse_formula,
     parse_term,
 )
+from intlog.worlds import WorldSet
 
 A = Particular("a")
 B = Particular("b")
@@ -453,6 +454,18 @@ class TestMemo:
         u = interpret(parse("exists y . (q(x, y) & ~p(x))"))
         extensionalize_nomemo(u, w1)
         assert w1._memo == {}
+
+    def test_nomemo_necess_does_not_populate(self):
+        # necess reads the set's bitmask tables, but not the extension memo
+        ws = WorldSet([
+            World("m0", (A, B), {}, {P: rel(1, [(A,)])}),
+            World("m1", (A, B), {}, {P: rel(1, [(A,), (B,)])}),
+        ])
+        u = neg(interpret(parse("p(x)")))
+        for w in ws:
+            assert extensionalize_nomemo(necess(u), w) == rel(1, [])
+            assert extensionalize_nomemo(necess(neg(u)), w) == rel(1, [(A,)])
+            assert w._memo == {}
 
     def test_memo_is_per_world(self, w1, w2):
         u = interpret(parse("p(x)"))

@@ -154,6 +154,15 @@ class TestEnumerate:
             enumerate_worlds(SIG_P, [])
         with pytest.raises(EnumerationError, match="duplicate"):
             enumerate_worlds(SIG_P, ["a", "a"])
+        # two elements under one name would make the name table ambiguous
+        named_a = ConceptHandle(atom_concept(P, (1,)).cid, "a")
+        with pytest.raises(EnumerationError, match="^duplicate domain element a$"):
+            enumerate_worlds(SIG_P, [A, named_a])
+
+    def test_members_share_one_element_name_table(self, ws64):
+        table = ws64.worlds[0].element_names
+        assert table == {"a": A, "b": B}
+        assert all(w.element_names is table for w in ws64)
 
 
 class TestWorldSet:
@@ -308,14 +317,20 @@ class TestModalExtensions:
 
     def test_necess_is_memoized_in_every_member(self, monkeypatch):
         ws = enumerate_worlds(SIG_PQ, ["a", "b"])
-        u = necess(neg(atom_concept(P, (1,))))
-        calls = _count_calls(monkeypatch, "complement")
+        body = neg(atom_concept(P, (1,)))
+        u = necess(body)
+        calls = [
+            _count_calls(monkeypatch, name)
+            for name in ("complement", "natural_join", "project_out")
+        ]
         r = extensionalize(u, ws.worlds[0])
-        # ~p(x) once per distinct p relation (4), not once per member (64)
-        assert len(calls) == 4
+        # the body is read from the set's bitmask tables, not evaluated
+        # member by member through the relational operators
+        assert calls == [[], [], []]
         # one evaluation serves every member
         assert all(extensionalize(u, w) is r for w in ws)
-        assert len(calls) == 4
+        assert calls == [[], [], []]
+        assert r == box_extension(body, ws)
 
     def test_necess_over_singleton_degenerates(self):
         w = World("only", (A, B), {}, {P: rel(1, [(A,)])})
@@ -564,8 +579,8 @@ class TestMissingRelation:
             extensionalize(self.pq(), ws.worlds[0])
 
     def test_necess_reaches_every_world_first(self, ws):
-        # necess evaluates its body in every member in set order, so
-        # from m1 it fails in m0
+        # necess reads its body's bitmask table over the whole set, so
+        # from m1 it fails naming m0, the first member
         with pytest.raises(SemanticsError, match=self.NO_Q):
             extensionalize(necess(self.pq()), ws.worlds[1])
 
@@ -610,6 +625,12 @@ def _world_sets():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _ws_pq_abc():
+    """The 4,096 worlds over {p/1, q/2} on {a, b, c}."""
+    return enumerate_worlds(SIG_PQ, ["a", "b", "c"])
+
+
 #: Abstractions with beta variables: interpreted, they are unions.
 BETA_TERMS = [
     parse_term(t, SIG_PQ)
@@ -642,8 +663,9 @@ def atoms(draw):
 
 @st.composite
 def concepts(draw, ws, depth=3, necess_ok=True):
-    """Random concepts of every kind, degree at most 4.  At most one
-    necess, which keeps the per-world reference at N^2 evaluations."""
+    """Random concepts of every kind, degree at most 4, with at most one
+    necess, or none when necess_ok is false (a body for a necess the
+    test builds itself)."""
     kinds = ["atom", "atom", "abstraction", "truth"]
     if depth:
         kinds += ["conj", "conj", "neg", "exists", "union"] + ["necess"] * necess_ok
@@ -766,6 +788,22 @@ class TestWorldBitmasks:
             got, want = fast(t1, t2, g, ws), slow(t1, t2, g, ws)
             assert got == want
             assert str(got) == str(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_necess_is_the_intersection_over_members(self, data):
+        # masks and the per-world route share the necess branch, so the
+        # test above cannot check it; intersect the members' extensions.
+        # Over a full enumeration most bodies hold rigidly of nothing, so
+        # the negated body (the tuples in no member) is checked too.
+        ws = _ws_pq_abc()
+        body = data.draw(concepts(ws, necess_ok=False))
+        w = data.draw(st.sampled_from(ws.worlds))
+        for u in (body, neg(body)) if body.degree <= 3 else (body,):
+            want = frozenset.intersection(
+                *(extensionalize_nomemo(u, w2).tuples for w2 in ws.worlds)
+            )
+            assert extensionalize(necess(u), w) == rel(u.degree, want)
 
     def test_box_and_diamond_read_the_masks(self, ws64):
         u = interpret(parse_formula("q(x, y) | p(x)", SIG_PQ))
