@@ -252,8 +252,6 @@ def cmd_intension(args) -> int:
 
 def cmd_eval(args) -> int:
     sig = _signature(args)
-    if not args.world or args.worlds or args.enumerate:
-        raise CliError("eval needs a single --world")
     w = load_world(_read(args.world), sig)
     raw = _parse_pairs(args.assign, "--assign")
     text = args.formula.strip()
@@ -266,9 +264,6 @@ def cmd_eval(args) -> int:
     elif raw:
         f = parse_formula(text, sig)
         g = _resolve_assignment(raw, w)
-        missing = [v for v in free_vars(f) if v not in g]
-        if missing:
-            raise CliError(f"--assign does not cover {missing}")
         value = extensionalize_nomemo(interpret(ground(f, g), w), w).as_bool()
         out = "t" if value else "f"
     else:
@@ -322,6 +317,8 @@ def cmd_check_diagram(args) -> int:
 
 
 def cmd_check_constraint(args) -> int:
+    if args.max_assignments < 1:
+        raise CliError(f"--max-assignments must be at least 1, got {args.max_assignments}")
     sig = _signature(args)
     formulas = _sweep_formulas(args, sig)
     worlds = _world_set(args, sig)
@@ -465,9 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="extension in a world")
     _add_common(p)
     p.add_argument("formula")
-    p.add_argument("--world", help="single world file")
-    p.add_argument("--worlds", help=argparse.SUPPRESS)
-    p.add_argument("--enumerate", help=argparse.SUPPRESS)
+    p.add_argument("--world", required=True, help="single world file")
     p.add_argument("--assign", default="", help="assignment, e.g. 'x=a,y=b'")
     p.set_defaults(func=cmd_eval)
 

@@ -12,7 +12,7 @@ import random
 from typing import Iterable, List, Sequence
 
 from .errors import IntlogError
-from .files import corpus_lines, data_text, load_signature
+from .files import corpus_lines, data_text, load_formulas, load_signature
 from .syntax import (
     Abstraction,
     Atom,
@@ -33,7 +33,6 @@ from .syntax import (
     mk_forall,
     mk_implies,
     mk_or,
-    parse_formula,
     parse_term,
 )
 
@@ -201,7 +200,7 @@ def corpus_formulas(sig: Signature = None) -> List[Formula]:
     """The bundled formula corpus, parsed against the corpus signature
     (or a caller-provided superset of it)."""
     sig = sig if sig is not None else corpus_signature()
-    return [parse_formula(s, sig) for s in corpus_lines("formulas.txt")]
+    return load_formulas(data_text("formulas.txt"), sig, "formulas.txt")
 
 
 def corpus_abstractions(sig: Signature = None) -> List[Abstraction]:

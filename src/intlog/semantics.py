@@ -80,7 +80,6 @@ from .syntax import (
     free_vars,
     ground,
     ground_term,
-    validate_abstraction,
 )
 
 
@@ -248,13 +247,7 @@ def interpret_abstraction(t: Abstraction, w: Optional[World] = None) -> Concept:
     With empty beta this is the interpretation of the body; otherwise
     it is the union over all beta instantiations by elements of the
     world's domain.
-
-    Raises:
-        AbstractionError: if alpha and beta do not partition the body's
-            free variables (a malformed term denotes nothing useful, so
-            it is rejected rather than given a junk value).
     """
-    validate_abstraction(t)
     if not t.beta:
         return interpret(t.body, w)
     if w is None:
@@ -276,9 +269,7 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
             raise AssignmentError(f"assignment does not cover {t.name!r}")
         return g[t.name]
     if isinstance(t, Abstraction):
-        validate_abstraction(t)
-        gt = ground_term(t, {v: g[v] for v in t.beta if v in g})
-        return ConceptHandle(interpret(gt.body, w).cid)
+        return ConceptHandle(interpret(ground_term(t, g).body, w).cid)
     return _term_element(t, w)
 
 

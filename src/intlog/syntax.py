@@ -136,11 +136,33 @@ class ElemTerm:
 
 @dataclass(frozen=True)
 class Abstraction:
-    """Term form of a formula: binds alpha, exposes beta."""
+    """Term form of a formula: binds alpha, exposes beta.
+
+    Raises:
+        AbstractionError: if alpha repeats a name or is not a subset of
+            the body's free variables, or beta is not exactly the
+            remaining free variables in body order.
+    """
 
     body: "Formula"
     alpha: Tuple[str, ...]
     beta: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        alpha = self.alpha
+        if len(set(alpha)) != len(alpha):
+            raise AbstractionError(f"alpha repeats a variable: {alpha}")
+        fv = free_vars(self.body)
+        extra = [v for v in alpha if v not in fv]
+        if extra:
+            raise AbstractionError(
+                f"alpha lists {extra[0]!r} which is not free in the body"
+            )
+        remainder = tuple(v for v in fv if v not in alpha)
+        if self.beta != remainder:
+            raise AbstractionError(
+                f"beta inconsistent: expected {remainder}, got {self.beta}"
+            )
 
     def __str__(self) -> str:
         return format_term(self)
@@ -341,7 +363,7 @@ def mk_exists_unique(var: str, f: Formula) -> Formula:
     while fresh in taken:
         i += 1
         fresh = f"y{i}"
-    copy = substitute(f, var, Variable(fresh))
+    copy = substitute(f, {var: Variable(fresh)})
     uniq = mk_forall(
         var,
         mk_forall(
@@ -549,44 +571,19 @@ def make_abstraction(
     alpha: Sequence[str],
     beta: Optional[Sequence[str]] = None,
 ) -> Abstraction:
-    """Build an abstraction term, validating alpha and computing or
-    checking beta.
+    """Build an abstraction term; an omitted beta is inferred as empty.
 
     Raises:
-        AbstractionError: if alpha repeats a name or is not a subset of
-            the body's free variables, or an explicit beta is not
-            exactly the remaining free variables in body order.
+        AbstractionError: as `Abstraction` does, or if beta is omitted
+            while free variables of the body remain outside alpha.
     """
     alpha = tuple(alpha)
-    if len(set(alpha)) != len(alpha):
-        raise AbstractionError(f"alpha repeats a variable: {alpha}")
-    fv = free_vars(body)
-    extra = [v for v in alpha if v not in fv]
-    if extra:
-        raise AbstractionError(
-            f"alpha lists {extra[0]!r} which is not free in the body"
-        )
-    remainder = tuple(v for v in fv if v not in alpha)
-    if beta is None:
-        if remainder:
-            raise AbstractionError(
-                f"beta omitted but free variables {remainder} remain"
-            )
-        beta = ()
-    else:
-        beta = tuple(beta)
-        if beta != remainder:
-            raise AbstractionError(
-                f"beta inconsistent: expected {remainder}, got {beta}"
-            )
-    return Abstraction(body, alpha, beta)
-
-
-def validate_abstraction(t: Abstraction) -> None:
-    """Re-check a possibly hand-built abstraction term."""
-    rebuilt = make_abstraction(t.body, t.alpha, t.beta)
-    if rebuilt != t:
-        raise AbstractionError(f"inconsistent abstraction term {t}")
+    if beta is not None:
+        return Abstraction(body, alpha, tuple(beta))
+    t = Abstraction(body, alpha, tuple(v for v in free_vars(body) if v not in alpha))
+    if t.beta:
+        raise AbstractionError(f"beta omitted but free variables {t.beta} remain")
+    return t
 
 
 #: The deepest desugared formula the parser accepts, in nodes from the
@@ -730,53 +727,57 @@ def all_var_names(f: Formula) -> set:
 # substitution and grounding
 # ---------------------------------------------------------------------------
 
-def substitute(f: Formula, var: str, t: Term) -> Formula:
-    """Replace every free occurrence of var in f by t.
+def substitute(f: Formula, m: Mapping[str, Term]) -> Formula:
+    """Replace every free occurrence of each variable of m in f by its
+    term, all at once, in one walk.  A binder drops its own variable
+    from the mapping, and a subformula reached with an empty mapping
+    is returned unchanged.
 
     Raises:
-        CaptureError: if a free variable of t would fall under a binder
-            of f (no automatic renaming is attempted).
+        CaptureError: if a free variable of a replacing term would fall
+            under a binder of f (no automatic renaming is attempted).
     """
-    payload_fv = set(term_free_vars(t))
+    # only a binder of one of these names can capture anything
+    capturable = {v for t in m.values() for v in term_free_vars(t)}
 
-    def sub_formula(g: Formula) -> Formula:
-        if var not in free_vars(g):
+    def check_capture(m: dict, bound: Sequence[str], free: Sequence[str]) -> None:
+        for var, t in m.items():
+            captured = sorted(set(bound).intersection(term_free_vars(t)))
+            if captured and var in free:
+                raise CaptureError(f"substituting {t} for {var} would capture {captured[0]}")
+
+    def sub_formula(g: Formula, m: dict) -> Formula:
+        if not m:
             return g
         if isinstance(g, Atom):
-            return Atom(g.pred, tuple(sub_term(a) for a in g.args))
+            return Atom(g.pred, tuple(sub_term(a, m) for a in g.args))
         if isinstance(g, Conj):
-            return Conj(sub_formula(g.left), sub_formula(g.right))
+            return Conj(sub_formula(g.left, m), sub_formula(g.right, m))
         if isinstance(g, Neg):
-            return Neg(sub_formula(g.sub))
+            return Neg(sub_formula(g.sub, m))
         if isinstance(g, Exists):
-            if g.var == var:
-                return g
-            if g.var in payload_fv:
-                raise CaptureError(
-                    f"substituting {t} for {var} would capture {g.var}"
-                )
-            return Exists(g.var, sub_formula(g.sub))
+            if g.var in m:
+                m = {v: t for v, t in m.items() if v != g.var}
+            if g.var in capturable:
+                check_capture(m, (g.var,), free_vars(g.sub))
+            return Exists(g.var, sub_formula(g.sub, m))
         raise IntlogError(f"not a formula: {g!r}")
 
-    def sub_term(a: Term) -> Term:
+    def sub_term(a: Term, m: dict) -> Term:
         if isinstance(a, Variable):
-            return t if a.name == var else a
+            return m.get(a.name, a)
         if isinstance(a, Abstraction):
-            if var not in a.beta:
+            m = {v: t for v, t in m.items() if v in a.beta}
+            if not m:
                 return a
-            captured = payload_fv & set(a.alpha)
-            if captured:
-                raise CaptureError(
-                    f"substituting {t} for {var} would capture {sorted(captured)[0]}"
-                )
-            new_body = sub_formula(a.body)
-            # beta is recomputed: the substitution may remove var and
-            # introduce new free variables at its position
-            new_beta = tuple(v for v in free_vars(new_body) if v not in a.alpha)
-            return Abstraction(new_body, a.alpha, new_beta)
+            check_capture(m, a.alpha, a.beta)
+            body = sub_formula(a.body, m)
+            # the replacing terms may bring free variables of their own
+            beta = tuple(v for v in free_vars(body) if v not in a.alpha)
+            return Abstraction(body, a.alpha, beta)
         return a
 
-    return sub_formula(f)
+    return sub_formula(f, dict(m))
 
 
 def elem_term(e: DomainElement) -> ElemTerm:
@@ -784,36 +785,41 @@ def elem_term(e: DomainElement) -> ElemTerm:
     return ElemTerm(element_name(e), e)
 
 
+def _literals(names: Iterable[str], g: Mapping[str, DomainElement]) -> dict:
+    """Each name mapped to a `#name` literal of its g-value.
+
+    Raises:
+        AssignmentError: if g misses one of the names.
+    """
+    missing = [v for v in names if v not in g]
+    if missing:
+        raise AssignmentError(f"assignment does not cover {missing[0]!r}")
+    return {v: elem_term(g[v]) for v in names}
+
+
 def ground(f: Formula, g: Mapping[str, DomainElement]) -> Formula:
     """Instantiate every free variable of f by its g-value, embedded as
-    a `#name` literal.
+    a `#name` literal, in one `substitute` call.  A closed f comes back
+    as itself.
 
     Raises:
         AssignmentError: if g misses a free variable of f.
     """
-    out = f
-    for v in free_vars(f):
-        if v not in g:
-            raise AssignmentError(f"assignment does not cover {v!r}")
-        out = substitute(out, v, elem_term(g[v]))
-    return out
+    return substitute(f, _literals(free_vars(f), g))
 
 
 def ground_term(t: Term, g: Mapping[str, DomainElement]) -> Term:
-    """Instantiate the free (beta) variables of a term."""
+    """Instantiate the free variables of a term: a variable becomes the
+    literal of its g-value, and an abstraction's beta variables are
+    replaced in its body in one `substitute` call, leaving beta empty.
+
+    Raises:
+        AssignmentError: if g misses the variable or a beta variable.
+    """
     if isinstance(t, Variable):
-        if t.name not in g:
-            raise AssignmentError(f"assignment does not cover {t.name!r}")
-        return elem_term(g[t.name])
-    if isinstance(t, Abstraction):
-        ab = t
-        for v in t.beta:
-            if v not in g:
-                raise AssignmentError(f"assignment does not cover {v!r}")
-            body = substitute(ab.body, v, elem_term(g[v]))
-            beta = tuple(b for b in ab.beta if b != v)
-            ab = Abstraction(body, ab.alpha, beta)
-        return ab
+        return _literals((t.name,), g)[t.name]
+    if isinstance(t, Abstraction) and t.beta:
+        return Abstraction(substitute(t.body, _literals(t.beta, g)), t.alpha, ())
     return t
 
 

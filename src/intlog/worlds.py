@@ -431,13 +431,6 @@ def _grounded_concepts(t1: Abstraction, t2: Abstraction, g: Assignment, ws: Worl
     return u1, u2
 
 
-def _first_diff(r1: Relation, r2: Relation) -> Optional[tuple]:
-    if r1.arity != r2.arity:
-        return None
-    diff = r1.tuples ^ r2.tuples
-    return min(diff, key=tuple_key) if diff else None
-
-
 def strong_equiv(
     t1: Abstraction, t2: Abstraction, g: Assignment, ws: WorldSet
 ) -> EquivReport:
@@ -469,9 +462,16 @@ def strong_equiv(
 def weak_equiv(
     t1: Abstraction, t2: Abstraction, g: Assignment, ws: WorldSet
 ) -> EquivReport:
-    """Equal diamond extensions (union over the set)."""
+    """Equal diamond extensions (union over the set): the same tuples
+    hold in some world.  They are the key sets of the two concepts'
+    `masks`.
+
+    The witness is the least tuple (by tuple_key) in exactly one of the
+    two; concepts of different degree differ with no tuple."""
     u1, u2 = _grounded_concepts(t1, t2, g, ws)
     same = u1 is u2
-    d1, d2 = diamond_extension(u1, ws), diamond_extension(u2, ws)
-    ok = d1.same_tuples(d2)
-    return EquivReport(ok, "weak", same, len(ws), None, None if ok else _first_diff(d1, d2))
+    if u1.degree != u2.degree:
+        return EquivReport(False, "weak", same, len(ws))
+    diff = masks(u1, ws).keys() ^ masks(u2, ws).keys()
+    row = min(diff, key=tuple_key) if diff else None
+    return EquivReport(not diff, "weak", same, len(ws), None, row)

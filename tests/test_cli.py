@@ -354,6 +354,17 @@ def test_negative_random_count_exits_2(paths, capsys):
         assert out == ""
 
 
+def test_corpus_fallback_error_names_the_corpus_line(paths, capsys):
+    # the bundled corpus reads p/1, which this signature lacks
+    sig_path = paths["dir"] / "q_only.txt"
+    sig_path.write_text("pred q/2\n")
+    code, out, err = run(capsys, "check-diagram", "--sig", str(sig_path), "--enumerate", "a")
+    assert code == 2
+    assert err.startswith("error: formulas.txt:")
+    assert "unknown predicate 'p'" in err
+    assert out == ""
+
+
 def test_zero_random_count_adds_no_formulas(paths, capsys):
     formulas = paths["dir"] / "f.txt"
     formulas.write_text("p(c)\nexists x . q(x, x)\n")
@@ -375,6 +386,15 @@ class TestCheckConstraint:
                            "--world", paths["w1"], "--max-assignments", "1")
         assert code == 0
         assert "skipped" in out
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_max_assignments_below_one_exits_2(self, paths, capsys, n):
+        # it used to skip every grounding and pass with 0 violations
+        code, out, err = run(capsys, "check-constraint", "--sig", paths["sig"],
+                             "--world", paths["w1"], "--max-assignments", n)
+        assert code == 2
+        assert err == f"error: --max-assignments must be at least 1, got {n}\n"
+        assert out == ""
 
     def test_records_summary(self, paths, capsys):
         code, out, _ = run(capsys, "check-constraint", "--sig", paths["sig"],

@@ -319,24 +319,24 @@ class TestFreeVars:
 class TestSubstitute:
     def test_basic(self):
         f = P("p(x) & p(y)")
-        assert substitute(f, "x", Constant("c")) == P("p(c) & p(y)")
+        assert substitute(f, {"x": Constant("c")}) == P("p(c) & p(y)")
 
     def test_capture_violation(self):
         f = P("exists x . q(x,y)")
         with pytest.raises(CaptureError):
-            substitute(f, "y", Variable("x"))
+            substitute(f, {"y": Variable("x")})
 
     def test_no_capture_when_var_absent(self):
         f = P("exists x . p(x)")
-        assert substitute(f, "y", Variable("x")) == f
+        assert substitute(f, {"y": Variable("x")}) == f
 
     def test_bound_occurrences_untouched(self):
         f = P("exists x . (p(x) & exists x . q(x,x))")
-        assert substitute(f, "x", Variable("z")) == f
+        assert substitute(f, {"x": Variable("z")}) == f
 
     def test_abstraction_beta_recomputed(self):
         f = P("p(<< q(x,y) >>_{x}^{y})")
-        out = substitute(f, "y", elem_term(B))
+        out = substitute(f, {"y": elem_term(B)})
         t = out.args[0]
         assert t.alpha == ("x",)
         assert t.beta == ()
@@ -345,13 +345,31 @@ class TestSubstitute:
     def test_abstraction_alpha_capture(self):
         f = P("p(<< q(x,y) >>_{x}^{y})")
         with pytest.raises(CaptureError):
-            substitute(f, "y", Variable("x"))
+            substitute(f, {"y": Variable("x")})
 
     def test_substitute_into_abstraction_keeps_other_beta(self):
         f = P("p(<< r(x,y) & p(z) >>_{x}^{y,z})")
-        out = substitute(f, "y", elem_term(A))
+        out = substitute(f, {"y": elem_term(A)})
         t = out.args[0]
         assert t.beta == ("z",)
+
+    def test_simultaneous_swap(self):
+        f = P("q(x, y)")
+        assert substitute(f, {"x": Variable("y"), "y": Variable("x")}) == P("q(y, x)")
+
+    def test_capture_names_the_captured_variable(self):
+        f = P("exists z . q(x, y)")
+        with pytest.raises(CaptureError, match="substituting z for x would capture z"):
+            substitute(f, {"y": Variable("x"), "x": Variable("z")})
+
+    def test_no_capture_for_variable_not_free_under_binder(self):
+        f = P("(exists z . p(y)) & p(x)")
+        out = substitute(f, {"x": Variable("z"), "y": Variable("x")})
+        assert out == P("(exists z . p(x)) & p(z)")
+
+    def test_empty_mapping_returns_formula(self):
+        f = P("q(x, y) & exists z . p(z)")
+        assert substitute(f, {}) is f
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +399,29 @@ class TestGround:
         assert out == parse_term("<< q(x,#b) >>_{x}", SIG)
         assert out.alpha == ("x",)
         assert out.beta == ()
+
+    def test_two_beta_variables_at_once(self):
+        f = P("p(<< r(x,y) & p(z) >>_{x}^{y,z})")
+        nested = substitute(substitute(f, {"y": elem_term(A)}), {"z": elem_term(B)})
+        out = ground(f, {"y": A, "z": B})
+        assert out == nested
+        assert out.args[0].beta == ()
+        t = f.args[0]
+        assert ground_term(t, {"y": A, "z": B}) == nested.args[0]
+
+    @pytest.mark.parametrize("text", [
+        "(exists1 x . q(x, y)) <-> p(z)",
+        "exists1 z . (q(x, z) <-> r(y, z))",
+        "p(<< exists1 y . q(x, y) >>_{}^{x}) <-> q(x, z)",
+    ])
+    def test_sugar_grounded_at_once_equals_nested(self, text):
+        f = P(text)
+        g = {"x": A, "y": B, "z": A}
+        nested = f
+        for v in free_vars(f):
+            nested = substitute(nested, {v: elem_term(g[v])})
+        assert ground(f, g) == nested
+        assert free_vars(ground(f, g)) == ()
 
     def test_ground_embeds_element(self):
         out = ground(P("p(x)"), {"x": ConceptHandle(3, "v")})
@@ -532,6 +573,16 @@ def formulas(max_depth=3):
 @given(formulas())
 def test_parse_print_round_trip(f):
     assert parse_formula(format_formula(f), SIG) == f
+
+
+@settings(max_examples=60)
+@given(formulas(), st.lists(st.sampled_from([A, B]), min_size=3, max_size=3))
+def test_ground_equals_one_variable_at_a_time(f, values):
+    g = dict(zip(("x", "y", "z"), values))
+    nested = f
+    for v in free_vars(f):
+        nested = substitute(nested, {v: elem_term(g[v])})
+    assert ground(f, g) == nested
 
 
 @settings(max_examples=60)
