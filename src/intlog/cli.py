@@ -114,12 +114,17 @@ def _resolve_assignment(raw: Dict[str, str], w: World) -> Dict[str, object]:
     return g
 
 
-def _records(args) -> bool:
-    return args.format == "records"
-
-
 def _emit_record(**fields) -> None:
     print(" ".join(f"{k}={shlex.quote(str(v))}" for k, v in fields.items()))
+
+
+def _emit(args, text: Optional[str], **fields) -> None:
+    """The one output path: the record of fields under --format
+    records, otherwise text (nothing when text is None)."""
+    if args.format == "records":
+        _emit_record(**fields)
+    elif text is not None:
+        print(text)
 
 
 def _world_set(args, sig: Signature) -> WorldSet:
@@ -212,24 +217,14 @@ def cmd_parse(args) -> int:
     text = args.formula.strip()
     if text.startswith("<<"):
         t = parse_term(text, sig)
-        if _records(args):
-            _emit_record(
-                kind="abstraction",
-                ast=_dump_term(t),
-                alpha=" ".join(t.alpha),
-                beta=" ".join(t.beta),
-            )
-        else:
-            print(f"ast {_dump_term(t)}")
-            print(f"alpha {_var_tuple(t.alpha)}")
-            print(f"beta {_var_tuple(t.beta)}")
+        ast = _dump_term(t)
+        _emit(args, f"ast {ast}\nalpha {_var_tuple(t.alpha)}\nbeta {_var_tuple(t.beta)}",
+              kind="abstraction", ast=ast, alpha=" ".join(t.alpha), beta=" ".join(t.beta))
         return 0
     f = parse_formula(text, sig)
-    if _records(args):
-        _emit_record(kind="formula", ast=_dump_ast(f), free=" ".join(free_vars(f)))
-    else:
-        print(f"ast {_dump_ast(f)}")
-        print(f"free {_var_tuple(free_vars(f))}")
+    ast, fv = _dump_ast(f), free_vars(f)
+    _emit(args, f"ast {ast}\nfree {_var_tuple(fv)}",
+          kind="formula", ast=ast, free=" ".join(fv))
     return 0
 
 
@@ -242,11 +237,9 @@ def cmd_intension(args) -> int:
         u = interpret_abstraction(t, w)
     else:
         u = interpret(parse_formula(text, sig), w)
-    if _records(args):
-        _emit_record(kind="concept", concept=format_concept(u), degree=u.degree)
-    else:
-        print(f"concept {format_concept(u)}")
-        print(f"degree {u.degree}")
+    concept = format_concept(u)
+    _emit(args, f"concept {concept}\ndegree {u.degree}",
+          kind="concept", concept=concept, degree=u.degree)
     return 0
 
 
@@ -269,10 +262,7 @@ def cmd_eval(args) -> int:
     else:
         r = eval_formula(parse_formula(text, sig), w)
         out = format_relation(r)
-    if _records(args):
-        _emit_record(kind="eval", value=out)
-    else:
-        print(out)
+    _emit(args, out, kind="eval", value=out)
     return 0
 
 
@@ -287,32 +277,15 @@ def cmd_check_diagram(args) -> int:
             pairs += 1
             if not report.ok:
                 mismatches += 1
-            if _records(args):
-                fields = dict(
-                    kind="diagram",
-                    world=w.name,
-                    formula=str(f),
-                    ok=str(report.ok).lower(),
-                )
-                if not report.ok and report.witness is not None:
-                    fields["witness"] = " ".join(
-                        element_name(e) for e in report.witness
-                    )
-                _emit_record(**fields)
-            elif not report.ok:
-                print(str(report))
+            fields = dict(kind="diagram", world=w.name, formula=f,
+                          ok=str(report.ok).lower())
+            if not report.ok and report.witness is not None:
+                fields["witness"] = " ".join(element_name(e) for e in report.witness)
+            _emit(args, None if report.ok else str(report), **fields)
         w.clear_memo()
-    summary = f"checked {pairs} pairs over {len(worlds)} worlds: {mismatches} mismatches"
-    if _records(args):
-        _emit_record(
-            kind="summary",
-            pairs=pairs,
-            worlds=len(worlds),
-            formulas=len(formulas),
-            mismatches=mismatches,
-        )
-    else:
-        print(summary)
+    _emit(args, f"checked {pairs} pairs over {len(worlds)} worlds: {mismatches} mismatches",
+          kind="summary", pairs=pairs, worlds=len(worlds), formulas=len(formulas),
+          mismatches=mismatches)
     return 0 if mismatches == 0 else 1
 
 
@@ -337,31 +310,15 @@ def cmd_check_constraint(args) -> int:
                 if not ok:
                     violations += 1
                     row = " ".join(element_name(e) for e in combo)
-                    if _records(args):
-                        _emit_record(
-                            kind="violation",
-                            world=w.name,
-                            formula=str(f),
-                            assignment=row,
-                        )
-                    else:
-                        print(f"VIOLATION: {f} @ {w.name} under ({row})")
+                    _emit(args, f"VIOLATION: {f} @ {w.name} under ({row})",
+                          kind="violation", world=w.name, formula=f, assignment=row)
         w.clear_memo()
     # skipped counts (formula, world) pairs whose assignment space is too big
-    if _records(args):
-        _emit_record(
-            kind="summary",
-            groundings=checked,
-            worlds=len(worlds),
-            violations=violations,
-            skipped=skipped,
-        )
-    else:
-        note = f" ({skipped} skipped over --max-assignments)" if skipped else ""
-        print(
-            f"checked {checked} groundings over {len(worlds)} worlds: "
-            f"{violations} violations{note}"
-        )
+    note = f" ({skipped} skipped over --max-assignments)" if skipped else ""
+    _emit(args, f"checked {checked} groundings over {len(worlds)} worlds: "
+                f"{violations} violations{note}",
+          kind="summary", groundings=checked, worlds=len(worlds), violations=violations,
+          skipped=skipped)
     return 0 if violations == 0 else 1
 
 
@@ -376,21 +333,18 @@ def cmd_equiv(args) -> int:
     g = _resolve_assignment(raw, ws.worlds[0])
     check = weak_equiv if args.weak else strong_equiv
     report = check(t1, t2, g, ws)
-    if _records(args):
-        fields = dict(
-            kind="equiv",
-            mode=report.mode,
-            equivalent=str(report.equivalent).lower(),
-            same_concept=str(report.same_concept).lower(),
-            worlds=report.world_count,
-        )
-        if report.world is not None:
-            fields["world"] = report.world
-        if report.row is not None:
-            fields["row"] = " ".join(element_name(e) for e in report.row)
-        _emit_record(**fields)
-    else:
-        print(str(report))
+    fields = dict(
+        kind="equiv",
+        mode=report.mode,
+        equivalent=str(report.equivalent).lower(),
+        same_concept=str(report.same_concept).lower(),
+        worlds=report.world_count,
+    )
+    if report.world is not None:
+        fields["world"] = report.world
+    if report.row is not None:
+        fields["row"] = " ".join(element_name(e) for e in report.row)
+    _emit(args, str(report), **fields)
     return 0 if report.equivalent else 1
 
 
@@ -398,14 +352,10 @@ def cmd_worlds_enumerate(args) -> int:
     sig = _signature(args)
     consts = _parse_pairs(args.const, "--const")
     ws = enumerate_worlds(sig, _names(args.domain), consts or None, limit=args.limit)
-    if _records(args):
-        _emit_record(
-            kind="worlds",
-            count=len(ws),
-            domain=" ".join(sorted(element_name(e) for e in ws.domain)),
-        )
-    else:
-        sys.stdout.write(write_world_set(ws))
+    # the file text ends in a newline, which print adds back
+    text = None if args.format == "records" else write_world_set(ws)[:-1]
+    _emit(args, text, kind="worlds", count=len(ws),
+          domain=" ".join(sorted(element_name(e) for e in ws.domain)))
     return 0
 
 

@@ -17,6 +17,7 @@ A world file and a world-set file share one preamble reader and one
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from importlib import resources
 from typing import Dict, Iterator, List, Tuple
 
@@ -53,6 +54,16 @@ def _content_lines(text: str) -> Iterator[Tuple[int, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+@contextmanager
+def _at_line(lineno: int):
+    """Prefix `line N: ` to a WorldError raised while reading line N of
+    a world or world-set file."""
+    try:
+        yield
+    except WorldError as e:
+        raise WorldError(f"line {lineno}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +109,9 @@ class _Preamble:
     """Domain, element names and constant map read so far from a world
     or world-set file, and the readers of its lines."""
 
-    def __init__(self, sig: Signature):
+    def __init__(self, sig: Signature, name: str):
         self.sig = sig
+        self.name = name
         self.domain: list = []
         self.element_names: Dict[str, DomainElement] = {}
         self.const_map: Dict[str, DomainElement] = {}
@@ -117,7 +129,7 @@ class _Preamble:
             return False
         return True
 
-    def read_rel(self, lineno: int, line: str, pred_map: PredMap) -> bool:
+    def read_rel(self, line: str, pred_map: PredMap) -> bool:
         """Add a `rel` line's relation to pred_map; False for any other
         line."""
         m = _REL_RE.fullmatch(line)
@@ -125,7 +137,7 @@ class _Preamble:
             return False
         p, r = self._rel(m)
         if p in pred_map:
-            raise WorldError(f"line {lineno}: relation for {p} given twice")
+            raise WorldError(f"relation for {p} given twice")
         pred_map[p] = r
         return True
 
@@ -156,20 +168,22 @@ class _Preamble:
         name, term_text = m.group(1), m.group(2)
         if name in self.element_names:
             raise WorldError(f"element name {name!r} already taken")
-        try:
-            t = parse_term(term_text, self.sig)
-        except IntlogError as e:
-            raise WorldError(f"reify {name}: {e}") from e
-        if not isinstance(t, Abstraction):
-            raise WorldError(f"reify needs an abstraction term, got {term_text!r}")
         if not self.domain:
             raise WorldError("domain must be declared first")
+        # the term is interpreted over the elements declared so far, in
+        # a world named after the file's world or world set
         interim = World(
-            "<loading>", self.domain, self.const_map, {}, dict(self.element_names)
+            self.name, self.domain, self.const_map, {}, dict(self.element_names)
         )
-        e = ConceptHandle(interpret_abstraction(t, interim).cid, name)
-        self.domain.append(e)
-        self.element_names[name] = e
+        try:
+            t = parse_term(term_text, self.sig)
+            if not isinstance(t, Abstraction):
+                raise WorldError(f"needs an abstraction term, got {term_text!r}")
+            h = ConceptHandle(interpret_abstraction(t, interim).cid, name)
+        except IntlogError as e:
+            raise WorldError(f"reify {name}: {e}") from e
+        self.domain.append(h)
+        self.element_names[name] = h
 
     def _const(self, m) -> None:
         cname, ename = m.group(1), m.group(2)
@@ -211,11 +225,12 @@ def load_world(text: str, sig: Signature, name: str = "w") -> World:
     """Load a single world file: `domain`, optional `reify` and `const`
     lines, then `rel` lines.  Undeclared predicates default to the
     empty relation."""
-    pre = _Preamble(sig)
+    pre = _Preamble(sig, name)
     pred_map: PredMap = {}
     for lineno, line in _content_lines(text):
-        if not (pre.read_rel(lineno, line, pred_map) or pre.read_preamble(line)):
-            raise WorldError(f"line {lineno}: cannot parse {line!r}")
+        with _at_line(lineno):
+            if not (pre.read_rel(line, pred_map) or pre.read_preamble(line)):
+                raise WorldError(f"cannot parse {line!r}")
     if not pre.domain:
         raise WorldError("world file declares no domain")
     return pre.world(name, pred_map)
@@ -226,29 +241,28 @@ def load_world_set(text: str, sig: Signature, name: str = "ws") -> WorldSet:
     `domain`/`const`/`reify` lines, then `world <name>` blocks holding
     `rel` lines.  Predicates omitted from a block default to empty."""
     lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
-        raise WorldError("expected the 'worlds' header")
-    if header[1] != "worlds":
-        raise WorldError(f"line {header[0]}: expected the 'worlds' header")
-    pre = _Preamble(sig)
+    # an empty file misses the header at its first line
+    lineno, header = next(lines, (1, None))
+    with _at_line(lineno):
+        if header != "worlds":
+            raise WorldError("expected the 'worlds' header")
+    pre = _Preamble(sig, name)
     blocks: Dict[str, PredMap] = {}
     current = None
     for lineno, line in lines:
-        if m := _WORLD_HDR_RE.fullmatch(line):
-            bname = m.group(1)
-            if bname in blocks:
-                raise WorldError(f"line {lineno}: duplicate world name {bname!r}")
-            current = blocks[bname] = {}
-        elif current is not None:
-            if not pre.read_rel(lineno, line, current):
-                raise WorldError(
-                    f"line {lineno}: only rel lines are allowed in a world block"
-                )
-        elif _REL_RE.fullmatch(line):
-            raise WorldError(f"line {lineno}: rel lines belong inside world blocks")
-        elif not pre.read_preamble(line):
-            raise WorldError(f"line {lineno}: cannot parse {line!r}")
+        with _at_line(lineno):
+            if m := _WORLD_HDR_RE.fullmatch(line):
+                bname = m.group(1)
+                if bname in blocks:
+                    raise WorldError(f"duplicate world name {bname!r}")
+                current = blocks[bname] = {}
+            elif current is not None:
+                if not pre.read_rel(line, current):
+                    raise WorldError("only rel lines are allowed in a world block")
+            elif _REL_RE.fullmatch(line):
+                raise WorldError("rel lines belong inside world blocks")
+            elif not pre.read_preamble(line):
+                raise WorldError(f"cannot parse {line!r}")
     if not pre.domain:
         raise WorldError("world-set file declares no domain")
     if not blocks:

@@ -7,10 +7,15 @@ the one holding the empty tuple.  Column indices are 1-based throughout;
 optional column labels (attrs) support the label-driven operators
 project_out_many and rel_equiv.
 
-The per-tuple work is kept in C where it can be: a `Particular` is a
-plain tuple, so rows hash and compare without Python-level methods, and
-`natural_join` is a hash join whose column getters come from a cached
-`join_plan`.
+A `Relation` is a plain tuple value that trusts its parts: the
+operators build their results directly from relations they were given.
+`rel` is the one constructor that checks, for values from outside the
+program (files, enumerations, tests).
+
+The per-tuple work is kept in C where it can be: a `Particular` and a
+`Relation` are plain tuples, so rows and relations hash and compare
+without Python-level methods, and `natural_join` is a hash join whose
+column getters come from a cached `join_plan`.
 """
 from __future__ import annotations
 
@@ -84,27 +89,20 @@ def tuple_key(t: Sequence[DomainElement]) -> tuple:
     return tuple(element_key(e) for e in t)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A finite set of arity-length tuples with optional column labels."""
+class Relation(NamedTuple):
+    """A finite set of arity-length tuples with optional column labels.
+
+    A plain (arity, tuples, attrs) tuple, so it hashes and compares in C
+    and costs no check when it is built: it trusts its parts.  tuples
+    must be a frozenset of arity-length tuples, attrs None or a tuple of
+    arity distinct labels.  The operators build their results this way
+    from inputs that are already relations; values from outside the
+    program go through `rel`, which checks them.
+    """
 
     arity: int
     tuples: frozenset
     attrs: Optional[tuple] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "tuples", frozenset(_row(t) for t in self.tuples))
-        if self.attrs is not None:
-            object.__setattr__(self, "attrs", tuple(self.attrs))
-        if self.arity < 0:
-            raise RelationError(f"negative arity {self.arity}")
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise RelationError(
-                    f"tuple {t} has length {len(t)}, expected arity {self.arity}"
-                )
-        if self.attrs is not None:
-            _check_attrs(self.arity, self.attrs)
 
     def sorted_tuples(self) -> list:
         return sorted(self.tuples, key=tuple_key)
@@ -124,7 +122,7 @@ class Relation:
         if attrs is not None:
             attrs = tuple(attrs)
             _check_attrs(self.arity, attrs)
-        return trusted_relation(self.arity, self.tuples, attrs)
+        return Relation(self.arity, self.tuples, attrs)
 
     def same_tuples(self, other: "Relation") -> bool:
         return self.arity == other.arity and self.tuples == other.tuples
@@ -148,30 +146,26 @@ def _check_attrs(arity: int, attrs: tuple) -> None:
         raise AttrError(f"duplicate column labels in {attrs}")
 
 
-def trusted_relation(
-    arity: int, tuples: frozenset, attrs: Optional[tuple] = None
-) -> Relation:
-    """A Relation from parts already known to be well formed, with no
-    copy and no checks: tuples must be a frozenset of arity-length
-    tuples, attrs None or a tuple of arity distinct labels.
-
-    The operators build their results this way, since their inputs were
-    checked when they were built; values from outside go through
-    `Relation(...)` or `rel`, which validate.
-    """
-    r = object.__new__(Relation)
-    # the frozen dataclass refuses setattr; filling the instance dict
-    # directly skips __post_init__ and costs the least
-    d = r.__dict__
-    d["arity"] = arity
-    d["tuples"] = tuples
-    d["attrs"] = attrs
-    return r
-
-
 def rel(arity: int, tuples: Iterable = (), attrs: Optional[Sequence] = None) -> Relation:
-    """Convenience constructor coercing tuples to a frozenset."""
-    return Relation(arity, tuples, attrs)
+    """The checked constructor, for values from outside the program:
+    tuples may be any iterable of sequences and attrs any sequence.
+
+    Raises:
+        RelationError: on a negative arity, a bare element given as a
+            row, or a tuple whose length is not the arity.
+        AttrError: if the labels do not fit the arity or repeat.
+    """
+    rows = frozenset(_row(t) for t in tuples)
+    if attrs is not None:
+        attrs = tuple(attrs)
+    if arity < 0:
+        raise RelationError(f"negative arity {arity}")
+    for t in rows:
+        if len(t) != arity:
+            raise RelationError(f"tuple {t} has length {len(t)}, expected arity {arity}")
+    if attrs is not None:
+        _check_attrs(arity, attrs)
+    return Relation(arity, rows, attrs)
 
 
 #: Truth values: the two arity-0 relations.
@@ -292,7 +286,7 @@ def natural_join(r1: Relation, r2: Relation, s) -> Relation:
         for rest in get(key1(t1), ()):
             add(t1 + rest)
     attrs = _merge_attrs(r1.attrs, rest2(r2.attrs) if r2.attrs is not None else None)
-    return trusted_relation(plan.arity, frozenset(out), attrs)
+    return Relation(plan.arity, frozenset(out), attrs)
 
 
 @lru_cache(maxsize=16)
@@ -310,7 +304,7 @@ def complement(r: Relation, domain: Iterable) -> Relation:
         DomainError: if a tuple element of r is not in domain.
     """
     if r.arity == 0:
-        return trusted_relation(0, FALSE.tuples if r.tuples else TRUE.tuples, r.attrs)
+        return Relation(0, FALSE.tuples if r.tuples else TRUE.tuples, r.attrs)
     dom = domain if isinstance(domain, frozenset) else frozenset(domain)
     full = _power(dom, id(dom), r.arity)
     if not r.tuples <= full:
@@ -318,7 +312,7 @@ def complement(r: Relation, domain: Iterable) -> Relation:
             for e in t:
                 if e not in dom:
                     raise DomainError(f"element {element_name(e)} not in domain")
-    return trusted_relation(r.arity, full - r.tuples, r.attrs)
+    return Relation(r.arity, full - r.tuples, r.attrs)
 
 
 def f_truth(r: Relation) -> Relation:
@@ -339,7 +333,7 @@ def project_out(r: Relation, m) -> Relation:
         return r
     out = frozenset(t[: m - 1] + t[m:] for t in r.tuples)
     attrs = r.attrs[: m - 1] + r.attrs[m:] if r.attrs is not None else None
-    return trusted_relation(k - 1, out, attrs)
+    return Relation(k - 1, out, attrs)
 
 
 def project_out_many(r: Relation, beta: Sequence) -> Relation:
@@ -397,34 +391,3 @@ def format_relation(r: Relation) -> str:
     for t in r.sorted_tuples():
         lines.append("()" if not t else " ".join(element_name(e) for e in t))
     return "\n".join(lines)
-
-
-def parse_relation(text: str) -> Relation:
-    """Parse the format produced by format_relation.
-
-    Elements parse as particulars; reified concept handles have no
-    stable text form and are rejected.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("rel"):
-        raise RelationError("expected header line 'rel <arity> [attrs...]'")
-    head = lines[0].split()
-    if len(head) < 2:
-        raise RelationError("header is missing the arity")
-    try:
-        arity = int(head[1])
-    except ValueError:
-        raise RelationError(f"bad arity {head[1]!r}") from None
-    attrs = tuple(head[2:]) or None
-    tuples = []
-    for ln in lines[1:]:
-        if ln == "()":
-            tuples.append(())
-            continue
-        toks = ln.split()
-        for tok in toks:
-            if tok.startswith("&"):
-                raise RelationError("concept handles cannot be parsed from text")
-        tuples.append(tuple(Particular(tok) for tok in toks))
-    return rel(arity, tuples, attrs)

@@ -13,7 +13,11 @@ members of a world set share one memo (see `World`).
 
 `tarski_eval` is the independent reference: it enumerates assignments
 and decides satisfaction recursively, never touching the relational
-algebra, so `check_diagram` compares two genuinely separate evaluators.
+algebra, and `assignment_extend` resolves constants and element
+literals itself, not through the compiled route's `_term_element`.  So
+`check_diagram` compares two separate evaluators.  Besides the syntax
+layer, the reference calls `interpret` only to name the concept that an
+abstraction argument reifies.
 
 Abstraction terms: `interpret_abstraction` maps << f >>_{a}^{b} to the
 union, over all instantiations of the beta variables by domain
@@ -56,7 +60,6 @@ from .relalg import (
     identity_relation,
     natural_join,
     project_out,
-    trusted_relation,
     tuple_key,
 )
 from .syntax import (
@@ -262,15 +265,27 @@ def interpret_abstraction(t: Abstraction, w: Optional[World] = None) -> Concept:
 def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
     """The canonical extension of an assignment from variables to all
     terms: variables through g, constants through the world's constant
-    map, and abstraction terms as reified concepts with their beta
-    variables instantiated by g."""
+    map, element literals through the world's element names, and
+    abstraction terms as reified concepts with their beta variables
+    instantiated by g.  It resolves every term itself, not through
+    the compiled route's `_term_element`."""
     if isinstance(t, Variable):
         if t.name not in g:
             raise AssignmentError(f"assignment does not cover {t.name!r}")
         return g[t.name]
+    if isinstance(t, Constant):
+        if t.name not in w.const_map:
+            raise SemanticsError(f"constant {t.name} has no denotation in {w.name}")
+        return w.const_map[t.name]
+    if isinstance(t, ElemTerm):
+        if t.elem is not None:
+            return t.elem
+        if t.name not in w.element_names:
+            raise SemanticsError(f"unknown element #{t.name} in world {w.name}")
+        return w.element_names[t.name]
     if isinstance(t, Abstraction):
         return ConceptHandle(interpret(ground_term(t, g).body, w).cid)
-    return _term_element(t, w)
+    raise SemanticsError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +326,10 @@ def _atom_extension(u: Concept, w: World) -> Relation:
     if base is None:
         raise no_relation_error(u.pred, w)
     if u.pattern is None:
-        return trusted_relation(u.degree, base.tuples)
+        return Relation(u.degree, base.tuples)
     out = {atom_row(u, row) for row in base.tuples}
     out.discard(None)
-    return trusted_relation(u.degree, frozenset(out))
+    return Relation(u.degree, frozenset(out))
 
 
 def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relation:
@@ -341,7 +356,7 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relat
         r = project_out(_ext(u.subs[0], w, memo), u.n)
     elif kind == "union":
         parts = [_ext(m_, w, memo) for m_ in u.subs]
-        r = trusted_relation(u.degree, frozenset().union(*(p.tuples for p in parts)))
+        r = Relation(u.degree, frozenset().union(*(p.tuples for p in parts)))
     elif kind == "necess":
         ws = w.world_set
         if ws is None:
@@ -427,7 +442,7 @@ def tarski_eval(f: Formula, w: World) -> Relation:
     for combo in itertools.product(w.sorted_domain(), repeat=len(fv)):
         if tarski_satisfied(f, dict(zip(fv, combo)), w):
             rows.add(combo)
-    return Relation(len(fv), rows, attrs=fv or None)
+    return Relation(len(fv), frozenset(rows), fv or None)
 
 
 # ---------------------------------------------------------------------------

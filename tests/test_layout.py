@@ -89,14 +89,33 @@ def test_no_module_touches_private_attributes_only_another_defines():
 
 
 def test_values_in_hot_sets_hash_and_compare_in_c():
-    # domain elements fill every relation's tuples and predicates every
-    # memo key; a dataclass would hash and compare them in Python
-    from intlog.relalg import Particular
+    # domain elements fill every relation's tuples, predicates every
+    # memo key and relations every memo entry; a dataclass would hash
+    # and compare them in Python
+    from intlog.relalg import Particular, Relation
     from intlog.syntax import PredicateSymbol
 
-    for cls in (Particular, PredicateSymbol):
+    for cls in (Particular, PredicateSymbol, Relation):
         assert cls.__hash__ is tuple.__hash__
         assert cls.__eq__ is tuple.__eq__
+
+
+def test_no_constructor_is_bypassed():
+    # a value is built through its class; object.__new__ plus writes to
+    # the instance __dict__ would make a second, unchecked constructor
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            new = (
+                node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            )
+            if new or node.attr == "__dict__":
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []
 
 
 def test_no_unused_imports():

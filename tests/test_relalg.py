@@ -26,13 +26,11 @@ from intlog.relalg import (
     identity_relation,
     join_spec_ok,
     natural_join,
-    parse_relation,
     project_out,
     project_out_many,
     rel,
     rel_equiv,
     truth,
-    trusted_relation,
 )
 
 A, B, C = Particular("a"), Particular("b"), Particular("c")
@@ -350,6 +348,28 @@ class TestRelationValue:
         with pytest.raises(AttrError):
             rel(2, [(A, B)], attrs=("x", "x"))
 
+    @pytest.mark.parametrize(
+        "arity,tuples,attrs,error,msg",
+        [
+            (-1, [], None, RelationError, "negative arity -1"),
+            (1, [A], None, RelationError, "row a is a bare element, not a tuple"),
+            (2, [(A,)], None, RelationError,
+             f"tuple {(A,)} has length 1, expected arity 2"),
+            (2, [(A, B)], ["x"], AttrError, "1 labels for arity 2"),
+            (2, [(A, B)], ["x", "x"], AttrError,
+             "duplicate column labels in ('x', 'x')"),
+        ],
+    )
+    def test_rel_checks_values_from_outside(self, arity, tuples, attrs, error, msg):
+        with pytest.raises(error) as info:
+            rel(arity, tuples, attrs)
+        assert str(info.value) == msg
+
+    def test_relation_is_a_value(self):
+        r = rel(2, [(A, B)], attrs=["x", "y"])
+        assert r == (2, frozenset({(A, B)}), ("x", "y"))
+        assert hash(r) == hash((2, frozenset({(A, B)}), ("x", "y")))
+
     def test_with_attrs_checks_labels(self):
         r = rel(2, [(A, B)])
         assert r.with_attrs(("x", "y")) == rel(2, [(A, B)], attrs=("x", "y"))
@@ -366,8 +386,6 @@ class TestRelationValue:
         for bad in (A, ConceptHandle(3)):
             with pytest.raises(RelationError, match="bare element"):
                 rel(1, [bad])
-            with pytest.raises(RelationError, match="bare element"):
-                Relation(1, frozenset({bad}))
         assert rel(1, [(A,)]).tuples == frozenset({(A,)})
 
     def test_particular_is_a_value(self):
@@ -376,11 +394,11 @@ class TestRelationValue:
         assert repr(A) == "Particular(name='a')"
         assert A.name == "a"
 
-    def test_trusted_relation_equals_the_checked_one(self):
-        t = trusted_relation(2, frozenset({(A, B)}), ("x", "y"))
+    def test_unchecked_relation_equals_the_checked_one(self):
+        t = Relation(2, frozenset({(A, B)}), ("x", "y"))
         assert t == rel(2, [(A, B)], attrs=("x", "y"))
         assert hash(t) == hash(rel(2, [(A, B)], attrs=("x", "y")))
-        assert trusted_relation(0, frozenset({()})) == TRUE
+        assert Relation(0, frozenset({()})) == TRUE
 
     def test_truth_values(self):
         assert TRUE.as_bool() is True
@@ -404,23 +422,6 @@ class TestRelationValue:
         assert format_relation(r) == "rel 2 x y\na b\nb b"
         assert format_relation(TRUE) == "rel 0\n()"
         assert format_relation(FALSE) == "rel 0"
-
-    def test_parse_roundtrip(self):
-        for r in (
-            rel(2, [(A, B), (B, B)], attrs=("x", "y")),
-            rel(1, [(A,)]),
-            TRUE,
-            FALSE,
-        ):
-            assert parse_relation(format_relation(r)) == r
-
-    def test_parse_errors(self):
-        with pytest.raises(Exception):
-            parse_relation("nonsense")
-        with pytest.raises(Exception):
-            parse_relation("rel x")
-        with pytest.raises(Exception):
-            parse_relation("rel 1\n&3")
 
 
 # ---------------------------------------------------------------------------

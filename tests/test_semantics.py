@@ -21,7 +21,7 @@ from intlog.concepts import (
     neg,
     union_concepts,
 )
-from intlog.files import load_world
+from intlog.files import load_world, load_world_set
 from intlog.relalg import (
     ConceptHandle,
     FALSE,
@@ -199,6 +199,46 @@ class TestLoadWorld:
     def test_bad_files(self, text, msg):
         with pytest.raises(WorldError, match=msg):
             load_world(text, SIG)
+
+    @pytest.mark.parametrize(
+        "load,text,msg",
+        [
+            (load_world, "domain a a", "line 1: duplicate domain element 'a'"),
+            (load_world, "domain a\nconst c = zz", "line 2: unknown element 'zz'"),
+            (load_world, "# c = a\n\ndomain a\nconst c = a\nconst c = a",
+             "line 5: constant 'c' mapped twice"),
+            (load_world, "domain a\nconst e = a",
+             "line 2: constant 'e' not declared in the signature"),
+            (load_world, "domain a\nrel p/3 = (a,a,a)",
+             "line 2: predicate p/3 not declared in the signature"),
+            (load_world, "domain a\nrel p/1 = (a,a)",
+             "line 2: tuple (a,a) has 2 elements, expected 1"),
+            (load_world, "domain a\nrel p/1 = (a)\nrel p/1 = (a)",
+             "line 3: relation for p/1 given twice"),
+            (load_world, "domain a\nreify u = << p(#u) >>_{}",
+             "line 2: reify u: unknown element #u in world w"),
+            (load_world, "domain a\nreify u = c",
+             "line 2: reify u: needs an abstraction term, got 'c'"),
+            (load_world, "domain a\nwat", "line 2: cannot parse 'wat'"),
+            (load_world_set, "", "line 1: expected the 'worlds' header"),
+            (load_world_set, "# sets\n\ndomain a", "line 3: expected the 'worlds' header"),
+            (load_world_set, "worlds\ndomain a\nreify u = << q(x, c) >>_{x}",
+             "line 3: reify u: constant c has no denotation in ws"),
+            (load_world_set, "worlds\ndomain a\nworld v\nrel p/1 = (zz)",
+             "line 4: unknown element 'zz' in relation p"),
+            (load_world_set, "worlds\ndomain a\nworld v\nworld v",
+             "line 4: duplicate world name 'v'"),
+            # errors found after the last line name none
+            (load_world, "", "world file declares no domain"),
+            (load_world, "domain a\nconst c = a",
+             "constants without denotation: ['d']"),
+            (load_world_set, "worlds\ndomain a", "world-set file has no world blocks"),
+        ],
+    )
+    def test_errors_name_their_line(self, load, text, msg):
+        with pytest.raises(WorldError) as info:
+            load(text, SIG)
+        assert str(info.value) == msg
 
     def test_missing_const_mapping(self):
         with pytest.raises(WorldError, match="without denotation"):
