@@ -142,13 +142,18 @@ def _world_set(args, sig: Signature) -> WorldSet:
 
 
 def _sweep_formulas(args, sig: Signature) -> List[Formula]:
-    """check-diagram / check-constraint formula sources: a file, a
-    seeded random batch, both, or the bundled corpus by default."""
+    """check-diagram / check-constraint formula sources: a file (which
+    must hold a formula), a seeded random batch, both, or the bundled
+    corpus when neither is given."""
     if args.random < 0:
         raise CliError(f"--random must be non-negative, got {args.random}")
+    if args.formulas is None and not args.random:
+        return corpus_formulas(sig)
     out: List[Formula] = []
-    if args.formulas:
-        out.extend(load_formulas(_read(args.formulas), sig, args.formulas))
+    if args.formulas is not None:
+        out = load_formulas(_read(args.formulas), sig, args.formulas)
+        if not out:
+            raise CliError(f"{args.formulas}: no formulas")
     if args.random:
         elem_names = _names(args.enumerate) if args.enumerate else ()
         out.extend(
@@ -161,8 +166,6 @@ def _sweep_formulas(args, sig: Signature) -> List[Formula]:
                 elem_names=elem_names,
             )
         )
-    if not out:
-        out = corpus_formulas(sig)
     return out
 
 

@@ -2,10 +2,11 @@
 
 A concept is an n-ary universal: degree 0 concepts are propositions,
 degree 1 properties, and so on.  Concepts are built from atomic
-predicate concepts by conj (join-style conjunction), neg, exists
-(slot-wise quantification), the derived union, and necess.  They are
-hash-consed: structurally identical canonical expressions share one
-node, so concept identity is plain object identity and `cid` equality.
+predicate concepts (those of `==` and `true` among them) by conj
+(join-style conjunction), neg, exists (slot-wise quantification), the
+derived union, and necess.  They are hash-consed: structurally
+identical canonical expressions share one node, so concept identity
+is plain object identity and `cid` equality.
 
 The only canonicalization applied is neg(neg(u)) -> u.  In particular
 conj is not commutative and no propositional rewriting happens: two
@@ -21,7 +22,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from .errors import IntlogError
 from .relalg import ConceptHandle, DomainElement, Particular, join_plan
-from .syntax import ID_PRED, PredicateSymbol
+from .syntax import ID_PRED, TRUE_PRED, PredicateSymbol
 
 
 class ConceptError(IntlogError):
@@ -54,16 +55,16 @@ class Concept:
     functions below so equal expressions share an id.
 
     `reads` lists the predicates whose base relations the concept's
-    extension depends on: its atoms' predicates, none for necess, id
-    and truth.  `relation_key` picks those relations out of a world's
-    (predicate -> tuple set) table; with the cid it keys the extension
-    memo.
+    extension depends on: its atoms' predicates, the reserved `==` and
+    `true` included, and none for necess.  `relation_key` picks those
+    relations out of a world's (predicate -> tuple set) table; with the
+    cid it keys the extension memo.
     An atom's `pattern` is None when its arguments are the slots 1, 2,
     ... in order (the extension is the base relation itself).
     """
 
     cid: int
-    kind: str  # atom, conj, neg, exists, union, necess, id, truth
+    kind: str  # atom, conj, neg, exists, union, necess
     degree: int
     pred: Optional[PredicateSymbol] = None
     args: Tuple[AtomArg, ...] = ()
@@ -153,10 +154,7 @@ def atom_concept(pred: PredicateSymbol, args: Iterable[AtomArg]) -> Concept:
                 raise ConceptError(
                     f"slot {a} out of order; slots must be numbered by first occurrence"
                 )
-    degree = len(seen)
-    if pred == ID_PRED and args == (1, 2):
-        return ID_CONCEPT
-    return _intern(("atom", pred, args), kind="atom", degree=degree, pred=pred, args=args)
+    return _intern(("atom", pred, args), kind="atom", degree=len(seen), pred=pred, args=args)
 
 
 def conj(s, u: Concept, v: Concept) -> Concept:
@@ -230,8 +228,10 @@ def necess(u: Concept) -> Concept:
     return _intern(("necess", u.cid), kind="necess", degree=u.degree, subs=(u,))
 
 
-ID_CONCEPT = _intern(("id",), kind="id", degree=2)
-TRUTH_CONCEPT = _intern(("truth",), kind="truth", degree=0)
+#: The paper's Id and Truth: the atoms of the reserved predicates,
+#: whose relations every world carries.  Interned first, as cids 0 and 1.
+ID_CONCEPT = atom_concept(ID_PRED, (1, 2))
+TRUTH_CONCEPT = atom_concept(TRUE_PRED, ())
 
 
 def _format_arg(a: AtomArg) -> str:
@@ -245,6 +245,10 @@ def _format_arg(a: AtomArg) -> str:
 def format_concept(u: Concept) -> str:
     """S-expression rendering, e.g.
     (conj {(1,1)} (atom p1/1 _1) (neg (atom p2/1 _1)))."""
+    if u is ID_CONCEPT:
+        return "(id)"
+    if u is TRUTH_CONCEPT:
+        return "(truth)"
     if u.kind == "atom":
         head = f"atom {u.pred}"
         if u.args:
@@ -261,8 +265,4 @@ def format_concept(u: Concept) -> str:
         return f"(union {' '.join(format_concept(m) for m in u.subs)})"
     if u.kind == "necess":
         return f"(necess {format_concept(u.subs[0])})"
-    if u.kind == "id":
-        return "(id)"
-    if u.kind == "truth":
-        return "(truth)"
     raise ConceptError(f"unknown concept kind {u.kind!r}")

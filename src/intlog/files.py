@@ -31,11 +31,10 @@ from .relalg import (
     element_name,
     rel,
 )
-from .semantics import World, WorldError, interpret_abstraction
+from .semantics import RESERVED_PREDS, World, WorldError, interpret_abstraction
 from .syntax import (
     Abstraction,
     Formula,
-    ID_PRED,
     ParseError,
     PredicateSymbol,
     Signature,
@@ -285,7 +284,7 @@ def write_world_set(ws: WorldSet) -> str:
     for w in ws.worlds:
         lines.append(f"world {w.name}")
         for p in sorted(w.pred_map, key=lambda q: (q.name, q.arity)):
-            if p == ID_PRED:
+            if p in RESERVED_PREDS:
                 continue
             cells = " ".join(
                 "(" + ", ".join(element_name(e) for e in row) + ")"

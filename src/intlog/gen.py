@@ -5,8 +5,7 @@ All randomness flows through one private random.Random, so a
 runs and platforms.  Abstraction terms generated as atom arguments are
 always beta-closed: every free variable of the body is abstracted.
 Open beta lists make an argument's denotation assignment-relative,
-which the diagram sweeps deliberately avoid; standalone abstraction
-terms (for the projection checks) do get random alpha/beta splits.
+which the diagram sweeps deliberately avoid.
 """
 import random
 from typing import Iterable, List, Sequence
@@ -114,20 +113,6 @@ class FormulaGenerator:
         alpha = list(free_vars(body))
         self.rng.shuffle(alpha)
         return make_abstraction(body, alpha)
-
-    def abstraction(self, budget: int = None) -> Abstraction:
-        """A standalone abstraction term with a random alpha/beta split
-        of the body's free variables."""
-        if budget is None:
-            budget = self.depth
-        self._nodes = 0
-        body = self.formula(max(budget - 1, 0))
-        fv = list(free_vars(body))
-        picks = sorted(self.rng.sample(range(len(fv)), self.rng.randint(0, len(fv))))
-        alpha = [fv[i] for i in picks]
-        self.rng.shuffle(alpha)
-        beta = [v for v in fv if v not in alpha]
-        return make_abstraction(body, alpha, beta)
 
     # -- formulas -----------------------------------------------------
 

@@ -67,16 +67,11 @@ class ConceptHandle:
 
 DomainElement = Union[Particular, ConceptHandle]
 
-#: The distinguished empty-tuple individual.
-EMPTY = Particular("<>")
-
 
 def element_key(e: DomainElement) -> tuple:
-    """Sort key giving a canonical element order: EMPTY first, then
-    particulars by name, then concept handles by id."""
+    """Sort key giving a canonical element order: particulars by name,
+    then concept handles by id."""
     if isinstance(e, Particular):
-        if e == EMPTY:
-            return (0, "", 0)
         return (1, e.name, 0)
     return (2, "", e.cid)
 
@@ -303,8 +298,6 @@ def complement(r: Relation, domain: Iterable) -> Relation:
     Raises:
         DomainError: if a tuple element of r is not in domain.
     """
-    if r.arity == 0:
-        return Relation(0, FALSE.tuples if r.tuples else TRUE.tuples, r.attrs)
     dom = domain if isinstance(domain, frozenset) else frozenset(domain)
     full = _power(dom, id(dom), r.arity)
     if not r.tuples <= full:

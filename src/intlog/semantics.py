@@ -40,7 +40,6 @@ from typing import Dict, Iterable, Mapping, Optional
 
 from .concepts import (
     Concept,
-    TRUTH_CONCEPT,
     atom_concept,
     conj,
     exists,
@@ -100,13 +99,17 @@ Assignment = Mapping[str, DomainElement]
 #: Memo key: a concept id and the tuple sets of the base relations it reads.
 MemoKey = tuple
 
+#: The predicates whose relations every world carries itself, by name.
+RESERVED_PREDS = {ID_PRED: "identity", TRUE_PRED: "tautology"}
+
 
 class World:
     """A finite interpretation: domain, constant denotations, and one
     relation per predicate symbol.
 
-    The identity predicate is populated automatically (one shared
-    relation per domain) and cannot be overridden.  Worlds are
+    The world carries the relations of the reserved predicates itself,
+    and neither can be declared: the identity relation for `==` (one
+    shared relation per domain) and TRUE for `true`.  Worlds are
     immutable after construction apart from the extension memo and the
     back reference to the one WorldSet that adopts the world.
 
@@ -146,8 +149,8 @@ class World:
             if e not in self.domain:
                 raise WorldError(f"constant {c} denotes {element_name(e)}, not in domain")
         for p, r in self.pred_map.items():
-            if p == ID_PRED:
-                raise WorldError("the identity relation cannot be declared")
+            if p in RESERVED_PREDS:
+                raise WorldError(f"the {RESERVED_PREDS[p]} relation cannot be declared")
             if r.arity != p.arity:
                 raise WorldError(f"relation for {p} has arity {r.arity}")
             for t in r.tuples:
@@ -158,6 +161,7 @@ class World:
                         )
         self._sorted = sorted(self.domain, key=element_key)
         self.pred_map[ID_PRED] = _identity(self.domain, tuple(map(element_name, self._sorted)))
+        self.pred_map[TRUE_PRED] = TRUE
         self._relations = {p: r.tuples for p, r in self.pred_map.items()}
         self.world_set = None  # set once, when a WorldSet adopts this world
         self._memo: Dict[MemoKey, Relation] = {}
@@ -192,8 +196,6 @@ def _term_element(t: Term, w: Optional[World]) -> DomainElement:
             raise SemanticsError(f"constant {t.name} has no denotation in {w.name}")
         return w.const_map[t.name]
     if isinstance(t, ElemTerm):
-        if t.elem is not None:
-            return t.elem
         if w is None:
             return Particular(t.name)
         if t.name not in w.element_names:
@@ -215,8 +217,6 @@ def interpret(f: Formula, w: Optional[World] = None) -> Concept:
     element literals and abstraction arguments; the resulting concept
     is world-independent because constants are rigid across a set."""
     if isinstance(f, Atom):
-        if f.pred == TRUE_PRED:
-            return TRUTH_CONCEPT
         slots: Dict[str, int] = {}
         cargs = []
         for t in f.args:
@@ -278,8 +278,6 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
             raise SemanticsError(f"constant {t.name} has no denotation in {w.name}")
         return w.const_map[t.name]
     if isinstance(t, ElemTerm):
-        if t.elem is not None:
-            return t.elem
         if t.name not in w.element_names:
             raise SemanticsError(f"unknown element #{t.name} in world {w.name}")
         return w.element_names[t.name]
@@ -364,10 +362,6 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relat
                 "necess needs a world that belongs to a world set"
             )
         r = ws.box_extension(u.subs[0])
-    elif kind == "id":
-        r = w.pred_map[ID_PRED]
-    elif kind == "truth":
-        r = TRUE
     else:
         raise SemanticsError(f"unknown concept kind {kind!r}")
     if memo is not None:
@@ -396,7 +390,8 @@ def extensionalize_nomemo(u: Concept, w: World) -> Relation:
 
 def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
     """Direct recursive satisfaction, independent of the concept and
-    relational machinery (atoms are decided by tuple membership).
+    relational machinery (atoms are decided by tuple membership; `==` is
+    element equality and `true` holds, whatever relations w carries).
 
     Box and Diamond range over every world of w's world set (total
     accessibility), so they need a world that belongs to one.

@@ -36,7 +36,7 @@ left-to-right order, and may be omitted when that remainder is empty.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -120,15 +120,10 @@ class Constant:
 
 @dataclass(frozen=True)
 class ElemTerm:
-    """A literal domain element, written `#name`.
-
-    The resolved element may be carried alongside (grounding produces
-    that); it does not take part in equality, so a reparsed formula
-    compares equal to the one that was printed.
-    """
+    """A literal domain element, written `#name`.  It is only its name,
+    which the world it is evaluated in resolves."""
 
     name: str
-    elem: Optional[DomainElement] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"#{self.name}"
@@ -781,8 +776,9 @@ def substitute(f: Formula, m: Mapping[str, Term]) -> Formula:
 
 
 def elem_term(e: DomainElement) -> ElemTerm:
-    """A literal term denoting the given domain element."""
-    return ElemTerm(element_name(e), e)
+    """The literal of a domain element: its name, which the element's
+    world resolves back to it."""
+    return ElemTerm(element_name(e))
 
 
 def _literals(names: Iterable[str], g: Mapping[str, DomainElement]) -> dict:

@@ -263,9 +263,10 @@ def montague_intension(f: Formula, ws: WorldSet) -> Intension:
 # ---------------------------------------------------------------------------
 
 def _base_masks(ws: WorldSet) -> Dict[PredicateSymbol, Masks]:
-    """Every member's base relations as (tuple -> bitmask) tables, from
-    one scan of the pred_maps.  Bits are gathered in byte arrays and
-    converted once per tuple, so the scan costs no big-int arithmetic."""
+    """Every member's base relations, the reserved `==` and `true`
+    among them, as (tuple -> bitmask) tables, from one scan of the
+    pred_maps.  Bits are gathered in byte arrays and converted once
+    per tuple, so the scan costs no big-int arithmetic."""
     if ws._base is None:
         nbytes = (len(ws.worlds) + 7) // 8
         bits: Dict[PredicateSymbol, Dict[tuple, bytearray]] = {}
@@ -330,10 +331,6 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
                 out[t] = out.get(t, 0) | m
     elif kind == "necess":
         out = {t: full for t, m in masks(u.subs[0], ws).items() if m == full}
-    elif kind == "id":
-        out = {(d, d): full for d in ws.worlds[0].sorted_domain()}
-    elif kind == "truth":
-        out = {(): full}
     else:
         raise SemanticsError(f"unknown concept kind {kind!r}")
     ws._masks[u.cid] = out

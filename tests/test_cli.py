@@ -374,6 +374,28 @@ def test_zero_random_count_adds_no_formulas(paths, capsys):
     assert out.splitlines()[-1] == "checked 2 pairs over 1 worlds: 0 mismatches"
 
 
+@pytest.mark.parametrize("command", ["check-diagram", "check-constraint"])
+@pytest.mark.parametrize("text", ["", "# a comment\n\n   \n# another\n"],
+                         ids=["empty", "comments_and_blanks"])
+def test_formula_file_without_formulas_exits_2(paths, capsys, command, text):
+    # it used to fall back to the bundled corpus and check that instead
+    formulas = paths["dir"] / "f.txt"
+    formulas.write_text(text)
+    code, out, err = run(capsys, command, "--sig", paths["sig"], "--world", paths["w1"],
+                         "--formulas", str(formulas))
+    assert code == 2
+    assert err == f"error: {formulas}: no formulas\n"
+    assert out == ""
+
+
+def test_empty_formulas_path_exits_2(paths, capsys):
+    code, out, err = run(capsys, "check-diagram", "--sig", paths["sig"], "--world", paths["w1"],
+                         "--formulas", "")
+    assert code == 2
+    assert err.startswith("error: cannot read :")
+    assert out == ""
+
+
 class TestCheckConstraint:
     def test_world_file(self, paths, capsys):
         code, out, _ = run(capsys, "check-constraint", "--sig", paths["sig"],

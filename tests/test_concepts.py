@@ -1,4 +1,7 @@
 """Concept algebra: interning, degree arithmetic, canonical forms."""
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -18,6 +21,7 @@ from intlog.concepts import (
     union_concepts,
 )
 from intlog.relalg import ConceptHandle, Particular
+import intlog
 from intlog.syntax import ID_PRED, PredicateSymbol
 
 A, B = Particular("a"), Particular("b")
@@ -40,6 +44,18 @@ class TestAtomConcept:
     def test_identity_slots_give_id_concept(self):
         assert atom_concept(ID_PRED, (1, 2)) is ID_CONCEPT
         assert ID_CONCEPT.degree == 2
+
+    def test_id_and_truth_are_the_only_concepts_at_import(self):
+        src = os.path.dirname(os.path.dirname(intlog.__file__))
+        code = (
+            "from intlog import concepts as c; "
+            "print(c.registry_size(), c.ID_CONCEPT.cid, c.TRUTH_CONCEPT.cid)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["2", "0", "1"]
 
     def test_identity_other_patterns_are_plain_atoms(self):
         diag = atom_concept(ID_PRED, (1, 1))

@@ -94,19 +94,6 @@ def test_depth_zero_gives_plain_atoms():
         assert not list(abstraction_args(f))
 
 
-def test_standalone_abstractions_split_free_vars():
-    gen = FormulaGenerator(SIG, seed=13)
-    betas = set()
-    for _ in range(60):
-        t = gen.abstraction()
-        fv = free_vars(t.body)
-        assert sorted(set(t.alpha) | set(t.beta)) == sorted(set(fv))
-        assert not set(t.alpha) & set(t.beta)
-        betas.add(bool(t.beta))
-    # both closed and open splits occur
-    assert betas == {True, False}
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError, match="depth"):
         FormulaGenerator(SIG, depth=-1)

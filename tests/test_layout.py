@@ -142,3 +142,59 @@ def test_no_unused_imports():
                 if name not in used and "# noqa" not in lines[alias.lineno - 1]:
                     offenders.append(f"{path.name}:{alias.lineno}: {name}")
     assert offenders == []
+
+
+def _kinds_compared(tree, function):
+    """The strings a function compares a `kind` name or attribute with."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == function):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if any(
+                (isinstance(s, ast.Name) and s.id == "kind")
+                or (isinstance(s, ast.Attribute) and s.attr == "kind")
+                for s in sides
+            ):
+                out.update(
+                    s.value for s in sides
+                    if isinstance(s, ast.Constant) and isinstance(s.value, str)
+                )
+    return out
+
+
+def test_both_evaluators_handle_exactly_the_interned_kinds():
+    # a kind that one dispatcher misses fails only when a concept of it
+    # reaches that dispatcher; a branch for a kind nobody builds is dead
+    def tree(name):
+        return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+    interned = {
+        kw.value.value
+        for node in ast.walk(tree("concepts.py"))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "kind" and isinstance(kw.value, ast.Constant)
+    }
+    assert interned == {"atom", "conj", "neg", "exists", "union", "necess"}
+    assert _kinds_compared(tree("semantics.py"), "_ext") == interned
+    assert _kinds_compared(tree("worlds.py"), "masks") == interned
+
+
+def test_syntax_nodes_compare_every_field():
+    # a field left out of equality makes two equal nodes mean different
+    # things, which hash-consing the syntax would conflate
+    offenders = []
+    tree = ast.parse((SRC / "syntax.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(
+            kw.arg == "compare"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False
+            for kw in node.keywords
+        ):
+            offenders.append(f"syntax.py:{node.lineno}")
+    assert offenders == []

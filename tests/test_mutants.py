@@ -8,8 +8,12 @@ the corpus parts of the acceptance criteria over the 64 worlds of
 {p/1, q/2} on {a, b}: the criterion-1 diagram sweep, the same sweep
 keeping the extension memo across worlds, a sweep of formulas with a
 constant (the corpus has none), and the criterion-3 comparison of an
-abstraction's extension with the beta projection of its body.  A check
-stops at its first mismatch, so a caught mutant costs little.
+abstraction's extension with the beta projection of its body.  The
+reify sweep checks the corpus formulas with an abstraction term over
+the 64 worlds on {a, b} where b is the reified concept of p: there an
+atom with an abstraction argument can hold, while over particulars
+alone it is false by both routes.  A check stops at its first
+mismatch, so a caught mutant costs little.
 """
 from functools import lru_cache
 from types import SimpleNamespace
@@ -20,8 +24,23 @@ from intlog import semantics
 from intlog.concepts import exists, union_concepts
 from intlog.gen import corpus_abstractions, corpus_formulas, corpus_signature
 from intlog.relalg import ConceptHandle, complement, natural_join, project_out, project_out_many
-from intlog.semantics import atom_row, check_diagram, eval_abstraction, tarski_eval
-from intlog.syntax import Abstraction, Constant, ElemTerm, make_signature, parse_formula
+from intlog.semantics import (
+    atom_row,
+    check_diagram,
+    eval_abstraction,
+    interpret_abstraction,
+    tarski_eval,
+)
+from intlog.syntax import (
+    ID_PRED,
+    Abstraction,
+    Constant,
+    ElemTerm,
+    format_formula,
+    make_signature,
+    parse_formula,
+    parse_term,
+)
 from intlog.worlds import enumerate_worlds
 
 SIG = corpus_signature()
@@ -39,6 +58,13 @@ def corpus_worlds():
 @lru_cache(maxsize=None)
 def constant_worlds():
     return enumerate_worlds(SIG_C, ["a", "b"], {"c": "a"})
+
+
+@lru_cache(maxsize=None)
+def reified_worlds():
+    # named b, so the corpus's #b literals resolve to the handle
+    p = interpret_abstraction(parse_term("<< p(x) >>_{x}", SIG))
+    return enumerate_worlds(SIG, ["a", ConceptHandle(p.cid, "b")])
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +94,11 @@ def diagram_sweep_keeping_the_memo():
 def constant_sweep():
     formulas = [parse_formula(t, SIG_C) for t in CONSTANT_FORMULAS]
     return first_mismatch(constant_worlds(), formulas)
+
+
+def reify_sweep():
+    formulas = [f for f in corpus_formulas(SIG) if "<<" in format_formula(f)]
+    return first_mismatch(reified_worlds(), formulas)
 
 
 def abstraction_projection():
@@ -114,6 +145,16 @@ def memo_key_ignores_the_relations(mp):
         mp.setattr(w, "_relations", dict.fromkeys(w._relations))
 
 
+def identity_relation_drops_a_pair(mp):
+    # caught because the reference decides `==` by element equality,
+    # not through the relation the world carries
+    for w in corpus_worlds():
+        ident = w.pred_map[ID_PRED]
+        wrong = ident._replace(tuples=ident.tuples - set(ident.sorted_tuples()[:1]))
+        mp.setitem(w.pred_map, ID_PRED, wrong)
+        mp.setitem(w._relations, ID_PRED, wrong.tuples)
+
+
 def union_drops_a_member(mp):
     mp.setattr(semantics, "union_concepts", lambda bs: union_concepts(bs[1:] or bs))
 
@@ -140,19 +181,11 @@ MUTANTS = [
     (atom_ignores_a_repeated_slot, diagram_sweep),
     (exists_quantifies_the_wrong_slot, diagram_sweep),
     (memo_key_ignores_the_relations, diagram_sweep_keeping_the_memo),
+    (identity_relation_drops_a_pair, diagram_sweep),
     (union_drops_a_member, abstraction_projection),
     (literal_a_resolves_to_b, diagram_sweep),
     (constant_resolves_to_b, constant_sweep),
-    pytest.param(
-        abstraction_argument_is_the_wrong_concept,
-        diagram_sweep,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="vacuous until the reify sweep of ROADMAP item 3: enumerated"
-            " worlds hold only particulars, so an atom with an abstraction"
-            " argument is false by both routes",
-        ),
-    ),
+    (abstraction_argument_is_the_wrong_concept, reify_sweep),
 ]
 
 
@@ -160,7 +193,7 @@ MUTANTS = [
 def fresh_memos():
     """Empty memos around a test, so no result computed by the correct
     route hides a mutant, and none computed by a mutant outlives it."""
-    sets = (corpus_worlds(), constant_worlds())
+    sets = (corpus_worlds(), constant_worlds(), reified_worlds())
     for ws in sets:
         ws.clear_memos()
     yield
@@ -175,7 +208,9 @@ def test_check_catches_mutant(mutant, check, monkeypatch, fresh_memos):
 
 
 @pytest.mark.parametrize(
-    "check", [diagram_sweep_keeping_the_memo, constant_sweep], ids=lambda fn: fn.__name__
+    "check",
+    [diagram_sweep_keeping_the_memo, constant_sweep, reify_sweep],
+    ids=lambda fn: fn.__name__,
 )
 def test_check_passes_without_a_mutant(check, fresh_memos):
     # the other two checks run unmutated as acceptance criteria 1 and 3

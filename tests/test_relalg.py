@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intlog.relalg import (
-    EMPTY,
     FALSE,
     TRUE,
     AttrError,
@@ -408,7 +407,6 @@ class TestRelationValue:
             rel(1, [(A,)]).as_bool()
 
     def test_element_order(self):
-        assert element_key(EMPTY) < element_key(A)
         assert element_key(A) < element_key(B)
         assert element_key(B) < element_key(ConceptHandle(0))
         assert element_key(ConceptHandle(0)) < element_key(ConceptHandle(1))

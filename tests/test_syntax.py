@@ -425,9 +425,7 @@ class TestGround:
 
     def test_ground_embeds_element(self):
         out = ground(P("p(x)"), {"x": ConceptHandle(3, "v")})
-        arg = out.args[0]
-        assert isinstance(arg, ElemTerm)
-        assert arg.elem == ConceptHandle(3)
+        assert out.args == (ElemTerm("v"),)
 
 
 # ---------------------------------------------------------------------------

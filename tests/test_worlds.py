@@ -28,6 +28,7 @@ from intlog.relalg import (
     Particular,
     TRUE,
     complement,
+    identity_relation,
     rel,
     tuple_key,
 )
@@ -35,15 +36,18 @@ from intlog.semantics import (
     SemanticsError,
     World,
     WorldError,
+    check_tarski_constraint,
     extensionalize,
     extensionalize_nomemo,
     ground,
     interpret,
     interpret_abstraction,
+    tarski_eval,
     tarski_satisfied,
 )
 from intlog.syntax import (
     ID_PRED,
+    TRUE_PRED,
     AssignmentError,
     Atom,
     Conj,
@@ -583,6 +587,76 @@ class TestMissingRelation:
         # from m1 it fails naming m0, the first member
         with pytest.raises(SemanticsError, match=self.NO_Q):
             extensionalize(necess(self.pq()), ws.worlds[1])
+
+
+class TestReservedRelations:
+    """`==` and `true` are ordinary atoms over relations every world
+    carries; the reference evaluator keeps its own rules for them."""
+
+    def test_every_world_carries_both(self, ws64):
+        for w in (World("m", (A, B)), *ws64):
+            assert w.pred_map[ID_PRED] == identity_relation((A, B))
+            assert w.pred_map[TRUE_PRED] == TRUE
+
+    @pytest.mark.parametrize(
+        "pred,relation,what",
+        [(ID_PRED, rel(2, [(A, A), (B, B)]), "identity"), (TRUE_PRED, TRUE, "tautology")],
+        ids=["identity", "tautology"],
+    )
+    def test_neither_can_be_declared(self, pred, relation, what):
+        with pytest.raises(WorldError, match=f"^the {what} relation cannot be declared$"):
+            World("m", (A, B), {}, {pred: relation})
+
+    def test_tautology_atom_is_truth_in_both_routes(self, ws64):
+        u = atom_concept(TRUE_PRED, ())
+        assert u is TRUTH_CONCEPT
+        assert masks(u, ws64) == {(): ws64.all_mask}
+        for w in ws64:
+            assert extensionalize_nomemo(u, w) == TRUE
+            assert extensionalize(u, w) == TRUE
+
+    @pytest.mark.parametrize(
+        "text", ["x == y", "x == x", "true", "~true", "exists x . x == #a"]
+    )
+    def test_both_routes_agree_with_the_reference(self, ws64, text):
+        f = parse_formula(text, SIG_PQ)
+        u = interpret(f, ws64.worlds[0])
+        table = masks(u, ws64)
+        for i, w in enumerate(ws64):
+            expected = tarski_eval(f, w).tuples
+            assert extensionalize_nomemo(u, w).tuples == expected
+            assert {t for t, m in table.items() if m >> i & 1} == expected
+
+
+class TestLiterals:
+    """A `#name` literal is its name; the world it is evaluated in
+    resolves it."""
+
+    @pytest.fixture(scope="class")
+    def reified(self):
+        h = ConceptHandle(interpret_abstraction(parse_term("<< p(x) >>_{x}", SIG_PQ)).cid, "b")
+        return h, enumerate_worlds(SIG_PQ, ["a", h])
+
+    def test_grounding_by_a_reified_element_resolves_in_its_world(self, reified):
+        h, ws = reified
+        f = parse_formula("p(x) & q(x, y)", SIG_PQ)
+        grounded = ground(f, {"x": h, "y": A})
+        held = 0
+        for w in ws:
+            u = interpret(grounded, w)
+            holds = (h,) in w.pred_map[P].tuples and (h, A) in w.pred_map[Q].tuples
+            assert extensionalize_nomemo(u, w).as_bool() is holds
+            assert check_tarski_constraint(f, {"x": h, "y": A}, w)
+            held += holds
+        assert held == len(ws) // 4
+
+    def test_an_element_the_world_does_not_name_is_an_error(self, ws64):
+        grounded = ground(parse_formula("p(x)", SIG_PQ), {"x": Particular("c")})
+        w = ws64.worlds[0]
+        with pytest.raises(SemanticsError, match="^unknown element #c in world w0$"):
+            interpret(grounded, w)
+        with pytest.raises(SemanticsError, match="^unknown element #c in world w0$"):
+            tarski_eval(grounded, w)
 
 
 def _count_calls(monkeypatch, name):
