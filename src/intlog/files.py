@@ -39,6 +39,7 @@ from .syntax import (
     PredicateSymbol,
     Signature,
     SignatureError,
+    check_element_name,
     make_signature,
     parse_formula,
     parse_term,
@@ -157,6 +158,7 @@ class _Preamble:
         if self.domain:
             raise WorldError("domain declared twice")
         for name in m.group(1).split():
+            check_element_name(name, WorldError)
             if name in self.element_names:
                 raise WorldError(f"duplicate domain element {name!r}")
             e = Particular(name)
@@ -164,7 +166,7 @@ class _Preamble:
             self.element_names[name] = e
 
     def _reify(self, m) -> None:
-        name, term_text = m.group(1), m.group(2)
+        name, term_text = check_element_name(m.group(1), WorldError), m.group(2)
         if name in self.element_names:
             raise WorldError(f"element name {name!r} already taken")
         if not self.domain:

@@ -17,6 +17,7 @@ from .syntax import (
     Atom,
     Conj,
     Constant,
+    ElemTerm,
     Exists,
     Formula,
     ID_PRED,
@@ -27,6 +28,7 @@ from .syntax import (
     TRUE_PRED,
     Term,
     Variable,
+    check_element_name,
     free_vars,
     make_abstraction,
     mk_forall,
@@ -89,7 +91,9 @@ class FormulaGenerator:
         if not self.preds:
             raise GeneratorError("the signature declares no predicates")
         self.consts = sorted(sig.consts)
-        self.elem_terms = tuple(parse_term(f"#{n}", sig) for n in elem_names)
+        self.elem_terms = tuple(
+            ElemTerm(check_element_name(n, GeneratorError)) for n in elem_names
+        )
         self.rng = random.Random(seed)
         self._nodes = 0
 

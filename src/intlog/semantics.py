@@ -8,8 +8,10 @@ in the body's free tuple, or 0 when it is not free).  Step two is
 `extensionalize`: each world maps concepts to relations through the
 relational algebra.  A concept's extension depends only on the
 world's relations for the predicates it reads (and the domain), so the
-memo is keyed by concept id and those relations' tuple sets, and the
-members of a world set share one memo (see `World`).
+memo is keyed by concept id and those relations' tuple sets.  A world
+set keeps the one memo that lasts across calls, for all its members;
+otherwise a memo lives for one call, so each shared subconcept is
+evaluated once per walk.
 
 `tarski_eval` is the independent reference: it enumerates assignments
 and decides satisfaction recursively, never touching the relational
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .concepts import (
     Concept,
@@ -96,9 +98,6 @@ class WorldError(IntlogError):
 Assignment = Mapping[str, DomainElement]
 
 
-#: Memo key: a concept id and the tuple sets of the base relations it reads.
-MemoKey = tuple
-
 #: The predicates whose relations every world carries itself, by name.
 RESERVED_PREDS = {ID_PRED: "identity", TRUE_PRED: "tautology"}
 
@@ -110,17 +109,8 @@ class World:
     The world carries the relations of the reserved predicates itself,
     and neither can be declared: the identity relation for `==` (one
     shared relation per domain) and TRUE for `true`.  Worlds are
-    immutable after construction apart from the extension memo and the
-    back reference to the one WorldSet that adopts the world.
-
-    The memo caches extensionalize results under (concept id, tuple
-    sets of the base relations the concept reads): a concept's
-    extension depends only on those relations and the domain, so worlds
-    that hold equal relations can share it.  The tuple sets are
-    frozensets, which cache their hashes, and a relation object that
-    several worlds share compares by identity.  A lone world keeps its
-    own memo; a WorldSet gives all its members one, so `clear_memo` on
-    a member clears the memo of the whole set.
+    immutable after construction apart from the back reference to the
+    one WorldSet that adopts the world, which holds the extension memo.
     """
 
     def __init__(
@@ -164,20 +154,15 @@ class World:
         self.pred_map[TRUE_PRED] = TRUE
         self._relations = {p: r.tuples for p, r in self.pred_map.items()}
         self.world_set = None  # set once, when a WorldSet adopts this world
-        self._memo: Dict[MemoKey, Relation] = {}
 
     def sorted_domain(self) -> list:
         return self._sorted
 
-    def share_memo(self, memo: Dict[MemoKey, Relation]) -> None:
-        """Evaluate through memo from now on.  A WorldSet calls this on
-        adopting the world, with one memo for all its members; the memo
-        the world had is dropped."""
-        self._memo = memo
-
     def clear_memo(self) -> None:
-        """Empty the extension memo (the whole set's, for a member)."""
-        self._memo.clear()
+        """Empty the extension memo of the world's set; a lone world
+        keeps none."""
+        if self.world_set is not None:
+            self.world_set.extensions.clear()
 
     def __repr__(self) -> str:
         return f"<world {self.name}: |D|={len(self.domain)}>"
@@ -215,33 +200,43 @@ def interpret(f: Formula, w: Optional[World] = None) -> Concept:
     """Compile a desugared formula to its concept (the fixed
     interpretation).  A world is only needed to resolve constants,
     element literals and abstraction arguments; the resulting concept
-    is world-independent because constants are rigid across a set."""
+    is world-independent because constants are rigid across a set.
+    The walk visits each shared node once (desugaring shares
+    subformulas)."""
+    return _compile(f, w, {})[0]
+
+
+def _compile(f: Formula, w: Optional[World], done: dict) -> Tuple[Concept, Tuple[str, ...]]:
+    """f's concept and free-variable tuple, memoized in done by node
+    identity for the length of one `interpret` call."""
+    found = done.get(id(f))
+    if found is not None:
+        return found
     if isinstance(f, Atom):
         slots: Dict[str, int] = {}
         cargs = []
         for t in f.args:
             if isinstance(t, Variable):
-                if t.name not in slots:
-                    slots[t.name] = len(slots) + 1
-                cargs.append(slots[t.name])
+                cargs.append(slots.setdefault(t.name, len(slots) + 1))
             else:
                 cargs.append(_term_element(t, w))
-        return atom_concept(f.pred, cargs)
-    if isinstance(f, Conj):
-        lf, rf = free_vars(f.left), free_vars(f.right)
-        s = {
-            (lf.index(v) + 1, i + 1)
-            for i, v in enumerate(rf)
-            if v in lf
-        }
-        return conj(s, interpret(f.left, w), interpret(f.right, w))
-    if isinstance(f, Neg):
-        return neg(interpret(f.sub, w))
-    if isinstance(f, Exists):
-        fv = free_vars(f.sub)
+        out = atom_concept(f.pred, cargs), tuple(slots)
+    elif isinstance(f, Conj):
+        lu, lf = _compile(f.left, w, done)
+        ru, rf = _compile(f.right, w, done)
+        s = {(lf.index(v) + 1, i + 1) for i, v in enumerate(rf) if v in lf}
+        out = conj(s, lu, ru), lf + tuple(v for v in rf if v not in lf)
+    elif isinstance(f, Neg):
+        u, fv = _compile(f.sub, w, done)
+        out = neg(u), fv
+    elif isinstance(f, Exists):
+        u, fv = _compile(f.sub, w, done)
         n = fv.index(f.var) + 1 if f.var in fv else 0
-        return exists(n, interpret(f.sub, w))
-    raise SemanticsError(f"not a formula: {f!r}")
+        out = exists(n, u), tuple(v for v in fv if v != f.var)
+    else:
+        raise SemanticsError(f"not a formula: {f!r}")
+    done[id(f)] = out
+    return out
 
 
 def interpret_abstraction(t: Abstraction, w: Optional[World] = None) -> Concept:
@@ -319,33 +314,24 @@ def no_relation_error(pred: PredicateSymbol, w: World) -> SemanticsError:
     return SemanticsError(f"predicate {pred} has no relation in world {w.name}")
 
 
-def _atom_extension(u: Concept, w: World) -> Relation:
-    base = w.pred_map.get(u.pred)
-    if base is None:
-        raise no_relation_error(u.pred, w)
-    if u.pattern is None:
-        return Relation(u.degree, base.tuples)
-    out = {atom_row(u, row) for row in base.tuples}
-    out.discard(None)
-    return Relation(u.degree, frozenset(out))
-
-
-def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relation:
-    """u's extension in w, through memo unless it is None.  A necess is
-    the box of its body, from the world set's bitmask tables."""
-    if memo is not None:
-        try:
-            key = (u.cid, u.relation_key(w._relations))
-        except KeyError:
-            # w has no relation for a predicate u reads: its atom raises
-            memo = None
-        else:
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+def _ext(u: Concept, w: World, memo: Dict[tuple, Relation]) -> Relation:
+    """u's extension in w through memo, keyed by the concept id and the
+    tuple sets of the relations u reads.  A necess is the box of its
+    body, from the world set's bitmask tables."""
+    try:
+        key = (u.cid, u.relation_key(w._relations))
+    except KeyError:
+        missing = next(p for p in u.reads if p not in w._relations)
+        raise no_relation_error(missing, w) from None
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     kind = u.kind
     if kind == "atom":
-        r = _atom_extension(u, w)
+        rows = w.pred_map[u.pred].tuples
+        if u.pattern is not None:
+            rows = frozenset({atom_row(u, row) for row in rows} - {None})
+        r = Relation(u.degree, rows)
     elif kind == "conj":
         r = natural_join(_ext(u.subs[0], w, memo), _ext(u.subs[1], w, memo), u.s)
     elif kind == "neg":
@@ -364,24 +350,25 @@ def _ext(u: Concept, w: World, memo: Optional[Dict[MemoKey, Relation]]) -> Relat
         r = ws.box_extension(u.subs[0])
     else:
         raise SemanticsError(f"unknown concept kind {kind!r}")
-    if memo is not None:
-        memo[key] = r
+    memo[key] = r
     return r
 
 
 def extensionalize(u: Concept, w: World) -> Relation:
     """The extension of a concept in a world; arity equals the degree.
-    Results are memoized in the world's memo, under the concept id and
-    the relations it reads, so members of a world set that hold equal
-    relations share one result, and a necess concept (which reads none)
-    is taken once per set from the set's bitmask tables."""
-    return _ext(u, w, w._memo)
+    A member of a world set evaluates through the set's memo, so
+    members that hold equal relations share one result, and a necess
+    concept (which reads none) is taken once per set from the set's
+    bitmask tables.  A lone world memoizes for the one call."""
+    ws = w.world_set
+    return _ext(u, w, {} if ws is None else ws.extensions)
 
 
 def extensionalize_nomemo(u: Concept, w: World) -> Relation:
-    """Same result, bypassing the extension memo, though a necess fills
-    its set's bitmask tables (cache-transparency checks, ground formulas)."""
-    return _ext(u, w, None)
+    """Same result, bypassing the set's extension memo, though a necess
+    fills its set's bitmask tables (cache-transparency checks, ground
+    formulas)."""
+    return _ext(u, w, {})
 
 
 # ---------------------------------------------------------------------------

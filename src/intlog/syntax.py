@@ -279,6 +279,14 @@ def make_signature(
     return Signature(preds, consts, declared_vars)
 
 
+def check_element_name(name: str, error: type = IntlogError) -> str:
+    """The name, if a `#name` literal can spell it; otherwise raise
+    error.  Every element name that enters as text is checked here."""
+    if not _IDENT_RE.match(name):
+        raise error(f"bad element name {name!r}: not a letter followed by letters, digits or _")
+    return name
+
+
 def _check_decl(name: str, kind: str) -> None:
     if not _IDENT_RE.match(name):
         raise SignatureError(f"bad {kind} name {name!r}")
@@ -827,9 +835,7 @@ def format_term(t: Term) -> str:
     if isinstance(t, Variable) or isinstance(t, Constant):
         return t.name
     if isinstance(t, ElemTerm):
-        if not _IDENT_RE.match(t.name):
-            raise IntlogError(f"element {t.name!r} has no printable literal form")
-        return f"#{t.name}"
+        return f"#{check_element_name(t.name)}"
     if isinstance(t, Abstraction):
         out = f"<< {format_formula(t.body)} >>_{{{','.join(t.alpha)}}}"
         if t.beta:

@@ -15,9 +15,9 @@ set iff the tuple is in the concept's extension in member i), and every
 concept kind becomes an operation on those (tuple -> bitmask) tables,
 the way a symbolic model checker evaluates a formula over a set of
 states.  `semantics.extensionalize` stays the per-world route, so the
-two can be checked against each other world by world; its memo is
-shared by the members of a set, so members that agree on the relations
-a concept reads compute its extension once.  A necess is the exception:
+two can be checked against each other world by world; it memoizes in
+the set's `extensions`, so members that agree on the relations a
+concept reads compute its extension once.  A necess is the exception:
 it takes the box of its body from these tables (`WorldSet.box_extension`).
 
 Besides explicit files, small signatures can be swept exhaustively:
@@ -65,6 +65,7 @@ from .syntax import (
     Formula,
     PredicateSymbol,
     Signature,
+    check_element_name,
     free_vars,
     ground_term,
 )
@@ -97,13 +98,12 @@ class WorldSet:
     checked before any is adopted, so a rejected set leaves the worlds
     as they were.
 
-    Adoption also gives the members one extension memo (see
-    `World.share_memo`): extensionalize keys a result by concept id and
-    the tuple sets of the relations the concept reads, so members that
-    hold equal relations share it.  Whatever a member had memoized on
-    its own is dropped.  The set itself keeps the world-bitmask tables
-    of `masks`: the base relations, scanned on first use, and a memo
-    per concept id.
+    The set keeps the one extension memo of its members,
+    `extensions`: extensionalize keys a result by concept id and the
+    tuple sets of the relations the concept reads, so members that hold
+    equal relations share it.  Beside it, the set keeps the
+    world-bitmask tables of `masks`: the base relations, scanned on
+    first use, and a memo per concept id.
     """
 
     def __init__(self, worlds: Iterable[World], name: str = "ws"):
@@ -126,14 +126,13 @@ class WorldSet:
                     f"world {w.name} already belongs to world set {w.world_set.name}"
                 )
             self._by_name[w.name] = w
-        memo: dict = {}
         for w in members:
             w.world_set = self
-            w.share_memo(memo)
         self.name = name
         self.worlds = members
         #: The bitmask of every member world.
         self.all_mask = (1 << len(members)) - 1
+        self.extensions: Dict[tuple, Relation] = {}
         self._base: Optional[Dict[PredicateSymbol, Masks]] = None
         self._masks: Dict[int, Masks] = {}
 
@@ -160,8 +159,7 @@ class WorldSet:
         return box_extension(u, self)
 
     def clear_memos(self) -> None:
-        # the members share one extension memo
-        self.worlds[0].clear_memo()
+        self.extensions.clear()
         self._base = None
         self._masks.clear()
 
@@ -189,8 +187,9 @@ def enumerate_worlds(
     elems = []
     seen = set()
     by_name: Dict[str, DomainElement] = {}
-    for d in domain:
-        e = Particular(d) if isinstance(d, str) else d
+    for e in domain:
+        if isinstance(e, str):
+            e = Particular(check_element_name(e, EnumerationError))
         n = element_name(e)
         if e in seen or n in by_name:
             raise EnumerationError(f"duplicate domain element {n}")

@@ -590,3 +590,70 @@ class TestPlumbing:
                            "--world", paths["w1"], "--format", "records")
         assert code == 1
         assert "Traceback" not in err
+
+
+def _file_commands(paths, path):
+    """One command per file-taking option, reading path through it."""
+    sig, w1 = paths["sig"], paths["w1"]
+    return {
+        "--sig": ["parse", "--sig", path, "p(x)"],
+        "--world": ["eval", "--sig", sig, "--world", path, "p(x)"],
+        "--worlds": ["check-diagram", "--sig", sig, "--worlds", path],
+        "--formulas": ["check-diagram", "--sig", sig, "--world", w1, "--formulas", path],
+    }
+
+
+@pytest.mark.parametrize("option", ["--sig", "--world", "--worlds", "--formulas"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_unreadable_file_exits_2(paths, capsys, option, case):
+    path = paths["dir"] / case
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"\xff\xfepred p/1\n")
+    code, _, err = run(capsys, *_file_commands(paths, str(path))[option])
+    assert code == 2
+    assert err.startswith(f"error: cannot read {path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["eval", "--sig", "{sig}", "--world", "{bad_world}", "~p(x)"], "'a,b'"),
+        (["worlds", "enumerate", "--sig", "{sig}", "--domain", "a,x)", "--const", "c=a"],
+         "'x)'"),
+        (["check-diagram", "--sig", "{sig}", "--enumerate", "a,1", "--random", "5",
+          "--const", "c=a"], "'1'"),
+        (["check-diagram", "--sig", "{sig}", "--enumerate", "a,1", "--const", "c=a"], "'1'"),
+    ],
+    ids=["domain_line", "worlds_enumerate", "random_elem_names", "enumerate"],
+)
+def test_bad_element_name_exits_2(paths, capsys, argv, name):
+    bad_world = paths["dir"] / "bad_world.txt"
+    bad_world.write_text("domain a,b c\nconst c = c\n")
+    argv = [a.format(sig=paths["sig"], bad_world=bad_world) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"bad element name {name}" in err
+    if "--world" in argv:
+        assert err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("domain", ["a,b,c", "x1 true Zz_9"])
+def test_enumerated_names_round_trip(paths, capsys, domain):
+    sig = paths["dir"] / "p_only.txt"
+    sig.write_text("pred p/1\n")
+    code, out, _ = run(capsys, "worlds", "enumerate", "--sig", str(sig), "--domain", domain)
+    assert code == 0
+    enum = paths["dir"] / "enum.txt"
+    enum.write_text(out)
+    names = domain.replace(",", " ").split()
+    assert f"domain {' '.join(sorted(names))}" in out.splitlines()
+    formulas = paths["dir"] / "literals.txt"
+    formulas.write_text("".join(f"p(#{n}) & exists x . ~p(x)\n" for n in names))
+    code, out2, _ = run(capsys, "check-diagram", "--sig", str(sig), "--worlds", str(enum),
+                        "--formulas", str(formulas), "--random", "20", "--seed", "1")
+    assert code == 0
+    assert out2 == f"checked {8 * (len(names) + 20)} pairs over 8 worlds: 0 mismatches\n"

@@ -88,6 +88,12 @@ def test_abs_prob_zero_means_no_abstractions():
         assert not list(abstraction_args(f))
 
 
+@pytest.mark.parametrize("name", ["1", "a,b", "#a"])
+def test_element_names_are_literal_names(name):
+    with pytest.raises(GeneratorError, match=f"^bad element name {name!r}:"):
+        FormulaGenerator(SIG, elem_names=("a", name))
+
+
 def test_depth_zero_gives_plain_atoms():
     for f in random_formulas(SIG, 40, seed=9, depth=0):
         assert isinstance(f, Atom)

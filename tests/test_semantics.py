@@ -11,6 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intlog import semantics
 from intlog.concepts import (
     ID_CONCEPT,
     TRUTH_CONCEPT,
@@ -67,7 +68,7 @@ from intlog.syntax import (
     parse_formula,
     parse_term,
 )
-from intlog.worlds import WorldSet
+from intlog.worlds import WorldSet, enumerate_worlds
 
 A = Particular("a")
 B = Particular("b")
@@ -204,6 +205,12 @@ class TestLoadWorld:
         "load,text,msg",
         [
             (load_world, "domain a a", "line 1: duplicate domain element 'a'"),
+            (load_world, "# names\ndomain a,b c",
+             "line 2: bad element name 'a,b': not a letter followed by letters, digits or _"),
+            (load_world_set, "worlds\ndomain a 1",
+             "line 2: bad element name '1': not a letter followed by letters, digits or _"),
+            (load_world, "domain a\nreify uä = << p(x) >>_{x}",
+             "line 2: bad element name 'uä': not a letter followed by letters, digits or _"),
             (load_world, "domain a\nconst c = zz", "line 2: unknown element 'zz'"),
             (load_world, "# c = a\n\ndomain a\nconst c = a\nconst c = a",
              "line 5: constant 'c' mapped twice"),
@@ -484,15 +491,22 @@ class TestMemo:
     def test_memo_transparent(self, w1):
         u = interpret(parse("exists y . (q(x, y) & p(x))"))
         first = extensionalize(u, w1)
-        assert extensionalize(u, w1) is first
-        assert extensionalize_nomemo(u, w1) == first
-        w1.clear_memo()
+        # a lone world keeps no memo across calls: equal, not identical
         assert extensionalize(u, w1) == first
+        assert extensionalize_nomemo(u, w1) == first
+        ws = WorldSet([load_world(W1_TEXT, SIG, name="w1")])
+        member = ws.worlds[0]
+        kept = extensionalize(u, member)
+        assert kept == first
+        assert extensionalize(u, member) is kept
+        member.clear_memo()
+        assert extensionalize(u, member) == first
 
-    def test_nomemo_does_not_populate(self, w1):
+    def test_nomemo_does_not_populate(self):
+        ws = WorldSet([load_world(W1_TEXT, SIG, name="w1")])
         u = interpret(parse("exists y . (q(x, y) & ~p(x))"))
-        extensionalize_nomemo(u, w1)
-        assert w1._memo == {}
+        extensionalize_nomemo(u, ws.worlds[0])
+        assert ws.extensions == {}
 
     def test_nomemo_necess_does_not_populate(self):
         # necess reads the set's bitmask tables, but not the extension memo
@@ -504,12 +518,99 @@ class TestMemo:
         for w in ws:
             assert extensionalize_nomemo(necess(u), w) == rel(1, [])
             assert extensionalize_nomemo(necess(neg(u)), w) == rel(1, [(A,)])
-            assert w._memo == {}
+            assert ws.extensions == {}
 
     def test_memo_is_per_world(self, w1, w2):
         u = interpret(parse("p(x)"))
         assert extensionalize(u, w1) == rel(1, [(A,)])
         assert extensionalize(u, w2) == rel(1, [(B,)])
+
+
+def counting(monkeypatch, name, cap):
+    """Count the calls the compiled route makes to semantics.<name>,
+    failing at once past cap (a tree walk would not finish)."""
+    calls = []
+    original = getattr(semantics, name)
+
+    def counted(*args):
+        calls.append(None)
+        assert len(calls) <= cap, f"more than {cap} {name} calls"
+        return original(*args)
+
+    monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
+def error_of(fn, *args):
+    """The exception fn(*args) raises, as text, or None.  The exception
+    itself is dropped: reporting its frames would print a <-> chain,
+    whose repr is exponential in the links."""
+    try:
+        fn(*args)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
+SIG_P = make_signature(preds=[("p", 1)])
+
+
+class TestSharedWork:
+    """Each shared node is visited once per walk: a concept DAG in
+    `_ext`, a desugared `<->` chain in `interpret`."""
+
+    def test_tower_joins_once_per_level(self, monkeypatch):
+        u = interpret(parse("p(x)"))
+        for _ in range(14):
+            u = neg(conj({(1, 1)}, u, u))
+        w = load_world(W1_TEXT, SIG)
+        for evaluate in (extensionalize_nomemo, extensionalize):
+            with monkeypatch.context() as m:
+                joins = counting(m, "natural_join", 14)
+                r = evaluate(u, w)
+                assert len(joins) == 14
+        ws = WorldSet([load_world(W1_TEXT, SIG)])
+        assert extensionalize(u, ws.worlds[0]) == r == extensionalize_nomemo(u, w)
+
+    @staticmethod
+    def chain(links):
+        return parse_formula(" <-> ".join(["p(x)"] * (links + 1)), SIG_P)
+
+    def test_iff_chain_compiles_in_linear_time(self, monkeypatch):
+        f = self.chain(24)
+        with monkeypatch.context() as m:
+            conjs = counting(m, "conj", 3 * 24)
+            # the walk carries free-variable tuples; rehashing the tree
+            # for the global free_vars cache is exponential in the links
+            m.setattr(semantics, "free_vars", None)
+            error = error_of(interpret, f)
+        assert error is None
+        assert len(conjs) <= 3 * 24
+        u = interpret(f)
+        p = interpret(parse_formula("p(x)", SIG_P))
+        for w in enumerate_worlds(SIG_P, ["a", "b"]):
+            # an odd number of p(x) terms chained by <-> is p(x)
+            assert extensionalize_nomemo(u, w) == extensionalize(p, w)
+
+    def test_short_iff_chain_agrees_with_the_reference(self):
+        f = self.chain(8)
+        for w in enumerate_worlds(SIG_P, ["a", "b"]):
+            assert check_diagram(f, w).ok
+
+    def test_the_set_owns_the_only_memo(self):
+        u = interpret(parse("exists y . (q(x, y) & p(x))"))
+        ws = WorldSet([
+            load_world(W1_TEXT, SIG, name="m0"),
+            load_world(W1_TEXT, SIG, name="m1"),
+        ])
+        first = extensionalize(u, ws.worlds[0])
+        assert extensionalize(u, ws.worlds[1]) is first
+        ws.worlds[1].clear_memo()
+        assert ws.extensions == {}
+        lone = load_world(W1_TEXT, SIG)
+        assert not [a for a in vars(lone) if "memo" in a]
+        assert not hasattr(lone, "share_memo")
+        assert extensionalize(u, lone) == extensionalize(u, lone) == first
 
 
 class TestNecessOutsideWorldSet:
@@ -574,13 +675,16 @@ class TestCheckDiagram:
         bad = DiagramReport(False, f, "w1", rel(1, [(A,)]), rel(1, []), (A,))
         assert "MISMATCH" in str(bad) and "witness (a)" in str(bad)
 
-    def test_mismatch_detected_on_corrupted_world(self, w1):
-        # evaluate once, then silently change the world behind the memo:
-        # the stale cache makes the concept route disagree
+    def test_mismatch_detected_on_corrupted_world(self):
+        # evaluate once in a member, then silently change the world
+        # behind the set's memo: the stale cache makes the concept
+        # route disagree
+        ws = WorldSet([load_world(W1_TEXT, SIG, name="w1")])
+        w = ws.worlds[0]
         f = parse("p(x)")
-        eval_formula(f, w1)
-        w1.pred_map[P] = rel(1, [(A,), (B,)])
-        report = check_diagram(f, w1)
+        eval_formula(f, w)
+        w.pred_map[P] = rel(1, [(A,), (B,)])
+        report = check_diagram(f, w)
         assert not report.ok
         assert report.witness == (B,)
 

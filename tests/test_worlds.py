@@ -7,6 +7,7 @@ w2 {(b)}, w3 {(a), (b)}.
 """
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,14 @@ class TestEnumerate:
         named_a = ConceptHandle(atom_concept(P, (1,)).cid, "a")
         with pytest.raises(EnumerationError, match="^duplicate domain element a$"):
             enumerate_worlds(SIG_P, [A, named_a])
+
+    @pytest.mark.parametrize("name", ["a,b", "x)", "1", "", "a b", "é"])
+    def test_element_names_are_literal_names(self, name):
+        with pytest.raises(EnumerationError, match="^" + re.escape(f"bad element name {name!r}")):
+            enumerate_worlds(SIG_P, ["a", name])
+        # an element object is not text: an unnamed handle is taken as is
+        handle = ConceptHandle(atom_concept(P, (1,)).cid)
+        assert len(enumerate_worlds(SIG_P, ["a", handle])) == 4
 
     def test_members_share_one_element_name_table(self, ws64):
         table = ws64.worlds[0].element_names
