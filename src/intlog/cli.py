@@ -46,7 +46,6 @@ from .syntax import (
     Neg,
     Signature,
     Variable,
-    free_vars,
     ground,
     ground_term,
     parse_formula,
@@ -133,6 +132,8 @@ def _world_set(args, sig: Signature) -> WorldSet:
     sources = [s for s in ("world", "worlds", "enumerate") if getattr(args, s, None)]
     if len(sources) != 1:
         raise CliError("give exactly one of --world, --worlds, --enumerate")
+    if args.const and not args.enumerate:
+        raise CliError("--const applies only to --enumerate")
     if args.world:
         return WorldSet([load_world(_read(args.world), sig)])
     if args.worlds:
@@ -225,7 +226,7 @@ def cmd_parse(args) -> int:
               kind="abstraction", ast=ast, alpha=" ".join(t.alpha), beta=" ".join(t.beta))
         return 0
     f = parse_formula(text, sig)
-    ast, fv = _dump_ast(f), free_vars(f)
+    ast, fv = _dump_ast(f), f.fv
     _emit(args, f"ast {ast}\nfree {_var_tuple(fv)}",
           kind="formula", ast=ast, free=" ".join(fv))
     return 0
@@ -302,7 +303,7 @@ def cmd_check_constraint(args) -> int:
     for w in worlds:
         dom = w.sorted_domain()
         for f in formulas:
-            fv = free_vars(f)
+            fv = f.fv
             if len(dom) ** len(fv) > args.max_assignments:
                 skipped += 1
                 continue

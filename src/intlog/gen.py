@@ -29,7 +29,6 @@ from .syntax import (
     Term,
     Variable,
     check_element_name,
-    free_vars,
     make_abstraction,
     mk_forall,
     mk_implies,
@@ -114,7 +113,7 @@ class FormulaGenerator:
 
     def abstraction_argument(self, budget: int) -> Abstraction:
         body = self.formula(budget)
-        alpha = list(free_vars(body))
+        alpha = list(body.fv)
         self.rng.shuffle(alpha)
         return make_abstraction(body, alpha)
 

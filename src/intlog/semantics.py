@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
 from .concepts import (
     Concept,
@@ -81,7 +81,6 @@ from .syntax import (
     TRUE_PRED,
     Term,
     Variable,
-    free_vars,
     ground,
     ground_term,
 )
@@ -203,36 +202,30 @@ def interpret(f: Formula, w: Optional[World] = None) -> Concept:
     is world-independent because constants are rigid across a set.
     The walk visits each shared node once (desugaring shares
     subformulas)."""
-    return _compile(f, w, {})[0]
+    return _compile(f, w, {})
 
 
-def _compile(f: Formula, w: Optional[World], done: dict) -> Tuple[Concept, Tuple[str, ...]]:
-    """f's concept and free-variable tuple, memoized in done by node
-    identity for the length of one `interpret` call."""
+def _compile(f: Formula, w: Optional[World], done: dict) -> Concept:
+    """f's concept, memoized in done by node identity for one `interpret`
+    call; slots, join pairs and projected positions come from `fv`."""
     found = done.get(id(f))
     if found is not None:
         return found
     if isinstance(f, Atom):
-        slots: Dict[str, int] = {}
-        cargs = []
-        for t in f.args:
-            if isinstance(t, Variable):
-                cargs.append(slots.setdefault(t.name, len(slots) + 1))
-            else:
-                cargs.append(_term_element(t, w))
-        out = atom_concept(f.pred, cargs), tuple(slots)
+        cargs = [
+            f.fv.index(t.name) + 1 if isinstance(t, Variable) else _term_element(t, w)
+            for t in f.args
+        ]
+        out = atom_concept(f.pred, cargs)
     elif isinstance(f, Conj):
-        lu, lf = _compile(f.left, w, done)
-        ru, rf = _compile(f.right, w, done)
+        lf, rf = f.left.fv, f.right.fv
         s = {(lf.index(v) + 1, i + 1) for i, v in enumerate(rf) if v in lf}
-        out = conj(s, lu, ru), lf + tuple(v for v in rf if v not in lf)
+        out = conj(s, _compile(f.left, w, done), _compile(f.right, w, done))
     elif isinstance(f, Neg):
-        u, fv = _compile(f.sub, w, done)
-        out = neg(u), fv
+        out = neg(_compile(f.sub, w, done))
     elif isinstance(f, Exists):
-        u, fv = _compile(f.sub, w, done)
-        n = fv.index(f.var) + 1 if f.var in fv else 0
-        out = exists(n, u), tuple(v for v in fv if v != f.var)
+        fv = f.sub.fv
+        out = exists(fv.index(f.var) + 1 if f.var in fv else 0, _compile(f.sub, w, done))
     else:
         raise SemanticsError(f"not a formula: {f!r}")
     done[id(f)] = out
@@ -419,7 +412,7 @@ def tarski_eval(f: Formula, w: World) -> Relation:
     """Brute-force evaluation: enumerate assignments over the free
     variables and collect the satisfying tuples.  Closed formulas give
     an arity-0 truth value."""
-    fv = free_vars(f)
+    fv = f.fv
     rows = set()
     for combo in itertools.product(w.sorted_domain(), repeat=len(fv)):
         if tarski_satisfied(f, dict(zip(fv, combo)), w):
@@ -432,23 +425,18 @@ def tarski_eval(f: Formula, w: World) -> Relation:
 # ---------------------------------------------------------------------------
 
 def eval_formula(f: Formula, w: World) -> Relation:
-    """Extension of f in w through the two-step route, with the free
-    tuple attached as column labels when the arities agree."""
+    """Extension of f in w through the two-step route, labeled by its
+    free variables unless a fault in the route changed the arity."""
     r = extensionalize(interpret(f, w), w)
-    fv = free_vars(f)
-    if r.arity == len(fv):
-        return r.with_attrs(fv or None)
-    return r
+    return r.with_attrs(f.fv or None) if r.arity == len(f.fv) else r
 
 
 def eval_abstraction(t: Abstraction, w: World) -> Relation:
     """Extension of an abstraction term, labeled by its alpha variables
     in body order."""
     r = extensionalize(interpret_abstraction(t, w), w)
-    labels = tuple(v for v in free_vars(t.body) if v not in set(t.beta))
-    if r.arity == len(labels):
-        return r.with_attrs(labels or None)
-    return r
+    labels = tuple(v for v in t.body.fv if v not in t.beta)
+    return r.with_attrs(labels or None) if r.arity == len(labels) else r
 
 
 @dataclass(frozen=True)
@@ -489,9 +477,8 @@ def check_diagram(f: Formula, w: World) -> DiagramReport:
 def check_tarski_constraint(f: Formula, g: Assignment, w: World) -> bool:
     """The grounding constraint: the grounded formula is true exactly
     when the tuple of assigned values lies in the formula's extension."""
-    fv = free_vars(f)
     fg = ground(f, g)
     lhs = extensionalize_nomemo(interpret(fg, w), w).as_bool()
-    row = tuple(g[v] for v in fv)
+    row = tuple(g[v] for v in f.fv)
     rhs = row in extensionalize(interpret(f, w), w).tuples
     return lhs == rhs

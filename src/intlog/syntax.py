@@ -27,11 +27,14 @@ signature declares with `var`.  `#name` denotes the domain element with
 that name; `==` is the reserved identity predicate and `true` the
 reserved tautology.
 
+Every node carries its free variables, in order of first occurrence
+left to right, as `fv`, derived from its children when it is built.
 An abstraction term `<< f >>_{alpha}^{beta}` binds the alpha variables
 of f and leaves the beta variables free in the enclosing formula.
 alpha may list any distinct subset of f's free variables in any order;
-beta must be exactly the remaining free variables in f's own
-left-to-right order, and may be omitted when that remainder is empty.
+beta, the term's `fv`, is the remaining free variables in f's own
+order; a written `^{...}` must list exactly those, and may be omitted
+when there are none.
 """
 from __future__ import annotations
 
@@ -99,9 +102,35 @@ _VAR_RE = re.compile(r"[xyz][A-Za-z0-9_]*\Z")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+def _merge(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ...]:
+    """left, then the names of right that left lacks."""
+    if not right:
+        return left
+    if not left:
+        return right
+    return left + tuple([v for v in right if v not in left])
+
+
+# Sets a frozen node's `fv`, an attribute and not a dataclass field, so
+# equality, hashing and repr see only the node's parts; the alias saves a
+# lookup per node built.
+_setattr = object.__setattr__
+
+
+class _SameAsSub:
+    """A node whose free variables are its sub's."""
+
+    def __post_init__(self) -> None:
+        _setattr(self, "fv", self.sub.fv)
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
+
+    @property
+    def fv(self) -> Tuple[str, ...]:
+        return (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -113,6 +142,7 @@ class Constant:
     constant map."""
 
     name: str
+    fv = ()
 
     def __str__(self) -> str:
         return self.name
@@ -124,6 +154,7 @@ class ElemTerm:
     which the world it is evaluated in resolves."""
 
     name: str
+    fv = ()
 
     def __str__(self) -> str:
         return f"#{self.name}"
@@ -131,33 +162,30 @@ class ElemTerm:
 
 @dataclass(frozen=True)
 class Abstraction:
-    """Term form of a formula: binds alpha, exposes beta.
+    """Term form of a formula: binds alpha, exposes beta (its `fv`).
 
     Raises:
         AbstractionError: if alpha repeats a name or is not a subset of
-            the body's free variables, or beta is not exactly the
-            remaining free variables in body order.
+            the body's free variables.
     """
 
     body: "Formula"
     alpha: Tuple[str, ...]
-    beta: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        alpha = self.alpha
+        alpha, fv = self.alpha, self.body.fv
         if len(set(alpha)) != len(alpha):
             raise AbstractionError(f"alpha repeats a variable: {alpha}")
-        fv = free_vars(self.body)
         extra = [v for v in alpha if v not in fv]
         if extra:
             raise AbstractionError(
                 f"alpha lists {extra[0]!r} which is not free in the body"
             )
-        remainder = tuple(v for v in fv if v not in alpha)
-        if self.beta != remainder:
-            raise AbstractionError(
-                f"beta inconsistent: expected {remainder}, got {self.beta}"
-            )
+        _setattr(self, "fv", tuple(v for v in fv if v not in alpha))
+
+    @property
+    def beta(self) -> Tuple[str, ...]:
+        return self.fv
 
     def __str__(self) -> str:
         return format_term(self)
@@ -171,6 +199,12 @@ class Atom:
     pred: PredicateSymbol
     args: Tuple[Term, ...] = ()
 
+    def __post_init__(self) -> None:
+        fv = ()
+        for a in self.args:
+            fv = _merge(fv, a.fv)
+        _setattr(self, "fv", fv)
+
     def __str__(self) -> str:
         return format_formula(self)
 
@@ -180,12 +214,15 @@ class Conj:
     left: "Formula"
     right: "Formula"
 
+    def __post_init__(self) -> None:
+        _setattr(self, "fv", _merge(self.left.fv, self.right.fv))
+
     def __str__(self) -> str:
         return format_formula(self)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_SameAsSub):
     sub: "Formula"
 
     def __str__(self) -> str:
@@ -197,12 +234,15 @@ class Exists:
     var: str
     sub: "Formula"
 
+    def __post_init__(self) -> None:
+        _setattr(self, "fv", tuple([v for v in self.sub.fv if v != self.var]))
+
     def __str__(self) -> str:
         return format_formula(self)
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_SameAsSub):
     """Necessity wrapper: true at w iff true at every world of w's set.
     Not part of the surface grammar; built programmatically."""
 
@@ -210,14 +250,14 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Diamond:
+class Diamond(_SameAsSub):
     """Possibility wrapper: true at w iff true at some world of w's set."""
 
     sub: "Formula"
 
 
 #: The parser only produces Atom, Conj, Neg and Exists; the modal
-#: wrappers are understood by free_vars and the reference evaluator.
+#: wrappers are understood by the reference evaluator.
 Formula = Union[Atom, Conj, Neg, Exists, Box, Diamond]
 
 
@@ -574,24 +614,24 @@ def make_abstraction(
     alpha: Sequence[str],
     beta: Optional[Sequence[str]] = None,
 ) -> Abstraction:
-    """Build an abstraction term; an omitted beta is inferred as empty.
+    """Build an abstraction term; a written beta must equal the derived
+    one, and an omitted beta must be empty.
 
     Raises:
-        AbstractionError: as `Abstraction` does, or if beta is omitted
-            while free variables of the body remain outside alpha.
+        AbstractionError: as `Abstraction` does, or if beta differs
+            from the derived one.
     """
-    alpha = tuple(alpha)
-    if beta is not None:
-        return Abstraction(body, alpha, tuple(beta))
-    t = Abstraction(body, alpha, tuple(v for v in free_vars(body) if v not in alpha))
-    if t.beta:
+    t = Abstraction(body, tuple(alpha))
+    if beta is None and t.beta:
         raise AbstractionError(f"beta omitted but free variables {t.beta} remain")
+    if beta is not None and tuple(beta) != t.beta:
+        raise AbstractionError(f"beta inconsistent: expected {t.beta}, got {tuple(beta)}")
     return t
 
 
 #: The deepest desugared formula the parser accepts, in nodes from the
 #: root to the deepest leaf, abstraction bodies included.  The
-#: recursive walks (free_vars, interpret, the reference evaluator) take
+#: recursive walks (interpret, substitute, the reference evaluator) take
 #: up to two interpreter frames per level; at 500 levels the reference
 #: evaluator already exceeds Python's default recursion limit of 1,000.
 MAX_DEPTH = 300
@@ -673,41 +713,13 @@ def parse_term(text: str, sig: Signature) -> Term:
 # free variables
 # ---------------------------------------------------------------------------
 
-def term_free_vars(t: Term) -> Tuple[str, ...]:
-    if isinstance(t, Variable):
-        return (t.name,)
-    if isinstance(t, Abstraction):
-        return t.beta
-    return ()
-
-
 @lru_cache(maxsize=None)
 def free_vars(f: Formula) -> Tuple[str, ...]:
-    """Free variables in order of first occurrence, left to right.
-
-    Inside an abstraction term the alpha variables are bound; its beta
-    variables are free in the enclosing formula.
-    """
-    if isinstance(f, Atom):
-        out = []
-        for arg in f.args:
-            for v in term_free_vars(arg):
-                if v not in out:
-                    out.append(v)
-        return tuple(out)
-    if isinstance(f, Conj):
-        out = list(free_vars(f.left))
-        for v in free_vars(f.right):
-            if v not in out:
-                out.append(v)
-        return tuple(out)
-    if isinstance(f, Neg):
-        return free_vars(f.sub)
-    if isinstance(f, Exists):
-        return tuple(v for v in free_vars(f.sub) if v != f.var)
-    if isinstance(f, (Box, Diamond)):
-        return free_vars(f.sub)
-    raise IntlogError(f"not a formula: {f!r}")
+    """f's free variables, the `fv` it derived when it was built.  The
+    cache hashes the whole tree, so the library reads `fv` instead."""
+    if not isinstance(f, (Atom, Conj, Neg, Exists, Box, Diamond)):
+        raise IntlogError(f"not a formula: {f!r}")
+    return f.fv
 
 
 def all_var_names(f: Formula) -> set:
@@ -741,11 +753,11 @@ def substitute(f: Formula, m: Mapping[str, Term]) -> Formula:
             under a binder of f (no automatic renaming is attempted).
     """
     # only a binder of one of these names can capture anything
-    capturable = {v for t in m.values() for v in term_free_vars(t)}
+    capturable = {v for t in m.values() for v in t.fv}
 
     def check_capture(m: dict, bound: Sequence[str], free: Sequence[str]) -> None:
         for var, t in m.items():
-            captured = sorted(set(bound).intersection(term_free_vars(t)))
+            captured = sorted(set(bound).intersection(t.fv))
             if captured and var in free:
                 raise CaptureError(f"substituting {t} for {var} would capture {captured[0]}")
 
@@ -762,7 +774,7 @@ def substitute(f: Formula, m: Mapping[str, Term]) -> Formula:
             if g.var in m:
                 m = {v: t for v, t in m.items() if v != g.var}
             if g.var in capturable:
-                check_capture(m, (g.var,), free_vars(g.sub))
+                check_capture(m, (g.var,), g.sub.fv)
             return Exists(g.var, sub_formula(g.sub, m))
         raise IntlogError(f"not a formula: {g!r}")
 
@@ -774,10 +786,7 @@ def substitute(f: Formula, m: Mapping[str, Term]) -> Formula:
             if not m:
                 return a
             check_capture(m, a.alpha, a.beta)
-            body = sub_formula(a.body, m)
-            # the replacing terms may bring free variables of their own
-            beta = tuple(v for v in free_vars(body) if v not in a.alpha)
-            return Abstraction(body, a.alpha, beta)
+            return Abstraction(sub_formula(a.body, m), a.alpha)
         return a
 
     return sub_formula(f, dict(m))
@@ -809,7 +818,7 @@ def ground(f: Formula, g: Mapping[str, DomainElement]) -> Formula:
     Raises:
         AssignmentError: if g misses a free variable of f.
     """
-    return substitute(f, _literals(free_vars(f), g))
+    return substitute(f, _literals(f.fv, g))
 
 
 def ground_term(t: Term, g: Mapping[str, DomainElement]) -> Term:
@@ -823,7 +832,7 @@ def ground_term(t: Term, g: Mapping[str, DomainElement]) -> Term:
     if isinstance(t, Variable):
         return _literals((t.name,), g)[t.name]
     if isinstance(t, Abstraction) and t.beta:
-        return Abstraction(substitute(t.body, _literals(t.beta, g)), t.alpha, ())
+        return Abstraction(substitute(t.body, _literals(t.beta, g)), t.alpha)
     return t
 
 

@@ -66,7 +66,6 @@ from .syntax import (
     PredicateSymbol,
     Signature,
     check_element_name,
-    free_vars,
     ground_term,
 )
 
@@ -181,8 +180,9 @@ def enumerate_worlds(
 
     Constants are not guessed: a signature with constants needs an
     explicit const_map (element names or elements), shared by every
-    world.  Each predicate's candidate relations, and the element-name
-    table, are built once and shared by the worlds that have them.
+    world, that names only declared constants.  Each predicate's
+    candidate relations, and the element-name table, are built once
+    and shared by the worlds that have them.
     """
     elems = []
     seen = set()
@@ -200,6 +200,9 @@ def enumerate_worlds(
         raise EnumerationError("enumeration needs a non-empty domain")
     elems.sort(key=element_key)
 
+    undeclared = sorted(set(const_map or ()) - sig.consts)
+    if undeclared:
+        raise EnumerationError(f"constant {undeclared[0]!r} not declared in the signature")
     consts: Dict[str, DomainElement] = {}
     for c in sorted(sig.consts):
         if const_map is None or c not in const_map:
@@ -376,7 +379,7 @@ def satisfies(ws: WorldSet, w: World, g: Assignment, f: Formula) -> bool:
     world of the set (total accessibility)."""
     if w.world_set is not ws:
         raise WorldError(f"world {w.name} is not a member of world set {ws.name}")
-    missing = [v for v in free_vars(f) if v not in g]
+    missing = [v for v in f.fv if v not in g]
     if missing:
         raise AssignmentError(f"assignment does not cover {missing}")
     return tarski_satisfied(f, g, w)

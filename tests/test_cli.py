@@ -547,6 +547,31 @@ class TestWorldsEnumerate:
         assert "denotation" in err
 
 
+def test_undeclared_const_exits_2(paths, capsys):
+    for argv in (
+        ["worlds", "enumerate", "--sig", paths["sig"], "--domain", "a", "--const", "c=a,zz=a"],
+        ["check-diagram", "--sig", paths["sig"], "--enumerate", "a", "--const", "c=a,zz=a"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: constant 'zz' not declared in the signature\n"
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", ["check-diagram", "check-constraint"])
+def test_const_outside_enumeration_exits_2(paths, capsys, command):
+    # a world file fixes its own constants; --const would be dropped
+    for source in (["--world", paths["w1"]], ["--worlds", paths["ws2"]]):
+        code, out, err = run(capsys, command, "--sig", paths["sig"], *source,
+                             "--const", "c=b")
+        assert code == 2
+        assert err == "error: --const applies only to --enumerate\n"
+        assert out == ""
+    code, out, err = run(capsys, "equiv", "--sig", paths["sig"], "--world", paths["w1"],
+                         "--const", "c=b", "<< p(x) >>_{x}", "<< p(x) >>_{x}")
+    assert (code, out, err) == (2, "", "error: --const applies only to --enumerate\n")
+
+
 class TestPlumbing:
     def test_no_command_usage(self, paths, capsys):
         assert run(capsys, )[0] == 2

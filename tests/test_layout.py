@@ -198,3 +198,18 @@ def test_syntax_nodes_compare_every_field():
         ):
             offenders.append(f"syntax.py:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_calls_free_vars():
+    # free_vars' cache hashes the whole tree, exponential in a desugared
+    # `<->` chain; library code reads the `fv` each node derives, which
+    # also keeps the cache cold for outside callers that measure it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "free_vars" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

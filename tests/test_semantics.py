@@ -7,11 +7,13 @@ the definitions before the implementation ran; derivations are noted
 inline.
 """
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from intlog import semantics
+from intlog.cli import main
 from intlog.concepts import (
     ID_CONCEPT,
     TRUTH_CONCEPT,
@@ -29,6 +31,7 @@ from intlog.relalg import (
     Particular,
     Relation,
     TRUE,
+    format_relation,
     rel,
     rel_equiv,
 )
@@ -358,9 +361,9 @@ class TestInterpretAbstraction:
     def test_malformed_term_rejected(self):
         # a malformed term denotes nothing useful, so it cannot be built
         with pytest.raises(AbstractionError, match="alpha repeats"):
-            Abstraction(parse("q(x, y)"), ("x", "x"), ())
+            Abstraction(parse("q(x, y)"), ("x", "x"))
         with pytest.raises(AbstractionError, match="beta inconsistent"):
-            Abstraction(parse("q(x, y)"), ("x",), ())
+            make_abstraction(parse("q(x, y)"), ("x",), ())
 
 
 class TestAssignmentExtend:
@@ -573,19 +576,44 @@ class TestSharedWork:
         assert extensionalize(u, ws.worlds[0]) == r == extensionalize_nomemo(u, w)
 
     @staticmethod
-    def chain(links):
-        return parse_formula(" <-> ".join(["p(x)"] * (links + 1)), SIG_P)
+    def chain_text(links):
+        return " <-> ".join(["p(x)"] * (links + 1))
 
-    def test_iff_chain_compiles_in_linear_time(self, monkeypatch):
+    def chain(self, links):
+        return parse_formula(self.chain_text(links), SIG_P)
+
+    def test_iff_chain_compiles_in_linear_time(self, monkeypatch, capsys, tmp_path):
         f = self.chain(24)
+        sig, world = tmp_path / "sig.txt", tmp_path / "w.txt"
+        sig.write_text("pred p/1\n")
+        world.write_text("domain a b\nrel p/1 = (a)\n")
+        w = load_world(world.read_text(), SIG_P)
+
+        def refuse(_):
+            raise AssertionError("free_vars called")
+
+        def run_cli():
+            argv = ["eval", "--sig", str(sig), "--world", str(world), self.chain_text(24)]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        got = {}
         with monkeypatch.context() as m:
-            conjs = counting(m, "conj", 3 * 24)
-            # the walk carries free-variable tuples; rehashing the tree
-            # for the global free_vars cache is exponential in the links
-            m.setattr(semantics, "free_vars", None)
-            error = error_of(interpret, f)
-        assert error is None
-        assert len(conjs) <= 3 * 24
+            # the free_vars cache hashes the whole tree, which is
+            # exponential in the links; nodes carry their free variables
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("intlog") \
+                        and hasattr(module, "free_vars"):
+                    m.setattr(module, "free_vars", refuse)
+            # three compiles of 3 conjunctions per link
+            conjs = counting(m, "conj", 3 * 3 * 24)
+            assert error_of(interpret, f) is None
+            assert error_of(lambda: got.update(rel=eval_formula(f, w))) is None
+            assert error_of(lambda: got.update(out=run_cli())) is None
+        assert len(conjs) <= 3 * 3 * 24
+        p_rel = eval_formula(parse_formula("p(x)", SIG_P), w)
+        assert got["rel"] == p_rel
+        assert got["out"] == format_relation(p_rel) + "\n"
         u = interpret(f)
         p = interpret(parse_formula("p(x)", SIG_P))
         for w in enumerate_worlds(SIG_P, ["a", "b"]):

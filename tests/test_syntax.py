@@ -1,4 +1,6 @@
 """Parser, free variables, substitution, grounding, printing."""
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,11 @@ from intlog.syntax import (
     ArityError,
     AssignmentError,
     Atom,
+    Box,
     CaptureError,
     Conj,
     Constant,
+    Diamond,
     ElemTerm,
     Exists,
     LexError,
@@ -33,6 +37,7 @@ from intlog.syntax import (
     ground_term,
     make_abstraction,
     make_signature,
+    mk_exists_unique,
     mk_forall,
     mk_iff,
     mk_implies,
@@ -40,6 +45,7 @@ from intlog.syntax import (
     parse_formula,
     parse_term,
     substitute,
+    _children,
     _depth,
     _lex,
 )
@@ -298,6 +304,18 @@ class TestFreeVars:
     def test_shadowing(self):
         f = P("exists x . (p(x) & exists x . q(x,x))")
         assert free_vars(f) == ()
+
+    def test_free_variables_are_derived_not_fields(self):
+        # equality, hashing and repr see only a node's parts
+        for cls in (Variable, Constant, ElemTerm, Abstraction, Atom, Conj, Neg, Exists,
+                    Box, Diamond):
+            assert "fv" not in {f.name for f in fields(cls)}
+        assert [f.name for f in fields(Abstraction)] == ["body", "alpha"]
+        assert repr(P("p(x)")) == (
+            "Atom(pred=PredicateSymbol(name='p', arity=1), args=(Variable(name='x'),))"
+        )
+        t = parse_term("<< q(x,y) >>_{x}^{y}", SIG)
+        assert t == Abstraction(P("q(x,y)"), ("x",)) and t.beta == t.fv == ("y",)
 
     def test_alpha_beta_partition_invariant(self):
         for text in (
@@ -581,6 +599,61 @@ def test_ground_equals_one_variable_at_a_time(f, values):
     for v in free_vars(f):
         nested = substitute(nested, {v: elem_term(g[v])})
     assert ground(f, g) == nested
+
+
+def reference_free_vars(x):
+    """Free variables by the recursive rule, first occurrence left to
+    right: the reference for the `fv` every node derives."""
+    if isinstance(x, Variable):
+        return (x.name,)
+    if isinstance(x, (Constant, ElemTerm)):
+        return ()
+    if isinstance(x, Abstraction):
+        return tuple(v for v in reference_free_vars(x.body) if v not in x.alpha)
+    if isinstance(x, Exists):
+        return tuple(v for v in reference_free_vars(x.sub) if v != x.var)
+    if isinstance(x, Neg):
+        return reference_free_vars(x.sub)
+    parts = x.args if isinstance(x, Atom) else (x.left, x.right)
+    out = []
+    for part in parts:
+        for v in reference_free_vars(part):
+            if v not in out:
+                out.append(v)
+    return tuple(out)
+
+
+@settings(max_examples=80)
+@given(
+    formulas(),
+    formulas(),
+    st.sampled_from(["x", "y", "z"]),
+    st.integers(min_value=0, max_value=7),
+    st.booleans(),
+    st.sampled_from([A, B]),
+)
+def test_every_node_derives_its_free_variables(f, other, var, mask, flip, value):
+    images = [
+        f,
+        ground(f, {"x": value, "y": value, "z": value}),
+        mk_exists_unique(var, f),
+        make_abs(f, mask, flip),
+    ]
+    # a payload with free variables of its own changes the beta of
+    # every abstraction it enters
+    for payload in (Variable("z"), make_abs(other, mask, flip)):
+        try:
+            images.append(substitute(f, {var: payload}))
+        except CaptureError:
+            pass
+    for image in images:
+        stack = [image]
+        while stack:
+            node = stack.pop()
+            assert node.fv == reference_free_vars(node)
+            if isinstance(node, Abstraction):
+                assert node.beta == tuple(v for v in node.body.fv if v not in node.alpha)
+            stack.extend(_children(node))
 
 
 @settings(max_examples=60)

@@ -150,6 +150,16 @@ class TestEnumerate:
         with pytest.raises(EnumerationError, match="unknown element"):
             enumerate_worlds(sig, ["a", "b"], const_map={"c": "zz"})
 
+    def test_undeclared_constant(self):
+        # a world file names the same fault in the same words
+        sig = make_signature(preds=[("p", 1)], consts=["c"])
+        message = "^constant 'zz' not declared in the signature$"
+        for const_map in ({"c": "a", "zz": "a"}, {"zz": "a"}):
+            with pytest.raises(EnumerationError, match=message):
+                enumerate_worlds(sig, ["a", "b"], const_map=const_map)
+        with pytest.raises(EnumerationError, match=message):
+            enumerate_worlds(SIG_P, ["a"], const_map={"zz": A})
+
     def test_domain_as_elements(self, ws4):
         ws = enumerate_worlds(SIG_P, [A, B])
         assert [w.pred_map[P] for w in ws] == [w.pred_map[P] for w in ws4]
