@@ -47,7 +47,6 @@ from .syntax import (
     Signature,
     Variable,
     ground,
-    ground_term,
     parse_formula,
     parse_term,
 )
@@ -255,7 +254,7 @@ def cmd_eval(args) -> int:
     if text.startswith("<<"):
         t = parse_term(text, sig)
         if raw:
-            t = ground_term(t, _resolve_assignment(raw, w))
+            t = ground(t, _resolve_assignment(raw, w))
         r = eval_abstraction(t, w)
         out = format_relation(r)
     elif raw:

@@ -30,8 +30,9 @@ as a single reified element, while the reference evaluator resolves
 the term per assignment.  The two agree only on beta-closed arguments:
 an open beta variable is free in the formula but would vanish from the
 compiled concept, so `interpret` rejects such an argument with an
-AbstractionError.  Grounding closes it (`ground` instantiates the beta
-variables), and `assignment_extend` resolves it per assignment.
+AbstractionError.  Grounding closes it (`ground`, of the formula or of
+the term alone, instantiates the beta variables), and
+`assignment_extend` resolves it per assignment.
 """
 from __future__ import annotations
 
@@ -82,7 +83,6 @@ from .syntax import (
     Term,
     Variable,
     ground,
-    ground_term,
 )
 
 
@@ -246,7 +246,7 @@ def interpret_abstraction(t: Abstraction, w: Optional[World] = None) -> Concept:
     members = []
     for combo in itertools.product(w.sorted_domain(), repeat=len(t.beta)):
         g = dict(zip(t.beta, combo))
-        members.append(interpret(ground_term(t, g).body, w))
+        members.append(interpret(ground(t, g).body, w))
     return union_concepts(members)
 
 
@@ -270,7 +270,7 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
             raise SemanticsError(f"unknown element #{t.name} in world {w.name}")
         return w.element_names[t.name]
     if isinstance(t, Abstraction):
-        return ConceptHandle(interpret(ground_term(t, g).body, w).cid)
+        return ConceptHandle(interpret(ground(t, g).body, w).cid)
     raise SemanticsError(f"not a term: {t!r}")
 
 

@@ -35,6 +35,10 @@ alpha may list any distinct subset of f's free variables in any order;
 beta, the term's `fv`, is the remaining free variables in f's own
 order; a written `^{...}` must list exactly those, and may be omitted
 when there are none.
+
+`substitute` and `ground` rewrite a formula or a term in one walk, which
+rewrites a conjunction that desugaring shares (`a <-> b` holds a and b
+twice) once per mapping, so the result shares it too.
 """
 from __future__ import annotations
 
@@ -723,11 +727,16 @@ def free_vars(f: Formula) -> Tuple[str, ...]:
 
 
 def all_var_names(f: Formula) -> set:
-    """Every variable name occurring in f, free or bound."""
+    """Every variable name occurring in f, free or bound.  A subtree
+    that desugaring shares is visited once."""
     names = set()
+    seen = set()
     stack = [f]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Variable):
             names.add(node.name)
         elif isinstance(node, Exists):
@@ -742,54 +751,63 @@ def all_var_names(f: Formula) -> set:
 # substitution and grounding
 # ---------------------------------------------------------------------------
 
-def substitute(f: Formula, m: Mapping[str, Term]) -> Formula:
-    """Replace every free occurrence of each variable of m in f by its
-    term, all at once, in one walk.  A binder drops its own variable
-    from the mapping, and a subformula reached with an empty mapping
-    is returned unchanged.
+def substitute(x: Union[Formula, Term], m: Mapping[str, Term]) -> Union[Formula, Term]:
+    """Replace every free occurrence of each variable of m in x, a
+    formula or a term, by its term, all at once, in one walk.  A binder
+    (an `Exists`, or an abstraction, which binds its alpha) keeps only
+    the variables free in it, and a node reached with an empty mapping
+    is returned unchanged.  Each `Conj` is rewritten once per mapping,
+    so a subformula that desugaring shares (`mk_iff`,
+    `mk_exists_unique`) stays shared and a `<->` chain costs time linear
+    in its links.
 
     Raises:
         CaptureError: if a free variable of a replacing term would fall
-            under a binder of f (no automatic renaming is attempted).
+            under a binder of x (no automatic renaming is attempted).
+        IntlogError: on a `Box` or `Diamond` under a non-empty mapping.
     """
+    if not m:
+        return x
     # only a binder of one of these names can capture anything
     capturable = {v for t in m.values() for v in t.fv}
 
-    def check_capture(m: dict, bound: Sequence[str], free: Sequence[str]) -> None:
-        for var, t in m.items():
-            captured = sorted(set(bound).intersection(t.fv))
-            if captured and var in free:
-                raise CaptureError(f"substituting {t} for {var} would capture {captured[0]}")
-
-    def sub_formula(g: Formula, m: dict) -> Formula:
+    def sub(x, m: dict, done: dict):
+        # done maps the id of a Conj of the input (which outlives the walk,
+        # so no id is reused) to its rewrite under m: one table per
+        # mapping.  A binder passes both on unless it drops a name, so
+        # the table also serves below a binder reached twice
         if not m:
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(sub_term(a, m) for a in g.args))
-        if isinstance(g, Conj):
-            return Conj(sub_formula(g.left, m), sub_formula(g.right, m))
-        if isinstance(g, Neg):
-            return Neg(sub_formula(g.sub, m))
-        if isinstance(g, Exists):
-            if g.var in m:
-                m = {v: t for v, t in m.items() if v != g.var}
-            if g.var in capturable:
-                check_capture(m, (g.var,), g.sub.fv)
-            return Exists(g.var, sub_formula(g.sub, m))
-        raise IntlogError(f"not a formula: {g!r}")
-
-    def sub_term(a: Term, m: dict) -> Term:
-        if isinstance(a, Variable):
-            return m.get(a.name, a)
-        if isinstance(a, Abstraction):
-            m = {v: t for v, t in m.items() if v in a.beta}
+            return x
+        if isinstance(x, Variable):
+            return m.get(x.name, x)
+        if isinstance(x, Atom):
+            return Atom(x.pred, tuple([sub(a, m, done) for a in x.args]))
+        if isinstance(x, Conj):
+            out = done.get(id(x))
+            if out is None:
+                out = done[id(x)] = Conj(sub(x.left, m, done), sub(x.right, m, done))
+            return out
+        if isinstance(x, Neg):
+            return Neg(sub(x.sub, m, done))
+        if isinstance(x, (Constant, ElemTerm)):
+            return x
+        if not isinstance(x, (Exists, Abstraction)):
+            raise IntlogError(f"not a formula: {x!r}")
+        if not m.keys() <= set(x.fv):
+            m, done = {v: t for v, t in m.items() if v in x.fv}, {}
             if not m:
-                return a
-            check_capture(m, a.alpha, a.beta)
-            return Abstraction(sub_formula(a.body, m), a.alpha)
-        return a
+                return x
+        bound = (x.var,) if isinstance(x, Exists) else x.alpha
+        if not capturable.isdisjoint(bound):
+            for var, t in m.items():
+                captured = sorted(set(bound).intersection(t.fv))
+                if captured:
+                    raise CaptureError(f"substituting {t} for {var} would capture {captured[0]}")
+        if isinstance(x, Exists):
+            return Exists(x.var, sub(x.sub, m, done))
+        return Abstraction(sub(x.body, m, done), x.alpha)
 
-    return sub_formula(f, dict(m))
+    return sub(x, dict(m), {})
 
 
 def elem_term(e: DomainElement) -> ElemTerm:
@@ -798,42 +816,20 @@ def elem_term(e: DomainElement) -> ElemTerm:
     return ElemTerm(element_name(e))
 
 
-def _literals(names: Iterable[str], g: Mapping[str, DomainElement]) -> dict:
-    """Each name mapped to a `#name` literal of its g-value.
+def ground(x: Union[Formula, Term], g: Mapping[str, DomainElement]) -> Union[Formula, Term]:
+    """Instantiate every free variable of x, a formula or a term, by its
+    g-value, embedded as a `#name` literal, in one `substitute` call: a
+    variable becomes its literal, and an abstraction's beta variables
+    are replaced in its body, leaving beta empty.  A closed x comes
+    back as itself.
 
     Raises:
-        AssignmentError: if g misses one of the names.
+        AssignmentError: if g misses a free variable of x.
     """
-    missing = [v for v in names if v not in g]
+    missing = [v for v in x.fv if v not in g]
     if missing:
         raise AssignmentError(f"assignment does not cover {missing[0]!r}")
-    return {v: elem_term(g[v]) for v in names}
-
-
-def ground(f: Formula, g: Mapping[str, DomainElement]) -> Formula:
-    """Instantiate every free variable of f by its g-value, embedded as
-    a `#name` literal, in one `substitute` call.  A closed f comes back
-    as itself.
-
-    Raises:
-        AssignmentError: if g misses a free variable of f.
-    """
-    return substitute(f, _literals(f.fv, g))
-
-
-def ground_term(t: Term, g: Mapping[str, DomainElement]) -> Term:
-    """Instantiate the free variables of a term: a variable becomes the
-    literal of its g-value, and an abstraction's beta variables are
-    replaced in its body in one `substitute` call, leaving beta empty.
-
-    Raises:
-        AssignmentError: if g misses the variable or a beta variable.
-    """
-    if isinstance(t, Variable):
-        return _literals((t.name,), g)[t.name]
-    if isinstance(t, Abstraction) and t.beta:
-        return Abstraction(substitute(t.body, _literals(t.beta, g)), t.alpha)
-    return t
+    return substitute(x, {v: elem_term(g[v]) for v in x.fv})
 
 
 # ---------------------------------------------------------------------------

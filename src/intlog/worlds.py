@@ -66,7 +66,7 @@ from .syntax import (
     PredicateSymbol,
     Signature,
     check_element_name,
-    ground_term,
+    ground,
 )
 
 
@@ -425,8 +425,8 @@ def _grounded_concepts(t1: Abstraction, t2: Abstraction, g: Assignment, ws: Worl
             f"alpha arity mismatch: {len(t1.alpha)} vs {len(t2.alpha)}"
         )
     anchor = ws.worlds[0]
-    u1 = interpret_abstraction(ground_term(t1, g), anchor)
-    u2 = interpret_abstraction(ground_term(t2, g), anchor)
+    u1 = interpret_abstraction(ground(t1, g), anchor)
+    u2 = interpret_abstraction(ground(t2, g), anchor)
     return u1, u2
 
 

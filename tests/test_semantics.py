@@ -10,9 +10,10 @@ import itertools
 import sys
 
 import pytest
+from conftest import counting, error_of
 from hypothesis import given, settings, strategies as st
 
-from intlog import semantics
+from intlog import semantics, syntax
 from intlog.cli import main
 from intlog.concepts import (
     ID_CONCEPT,
@@ -529,38 +530,20 @@ class TestMemo:
         assert extensionalize(u, w2) == rel(1, [(B,)])
 
 
-def counting(monkeypatch, name, cap):
-    """Count the calls the compiled route makes to semantics.<name>,
-    failing at once past cap (a tree walk would not finish)."""
-    calls = []
-    original = getattr(semantics, name)
-
-    def counted(*args):
-        calls.append(None)
-        assert len(calls) <= cap, f"more than {cap} {name} calls"
-        return original(*args)
-
-    monkeypatch.setattr(semantics, name, counted)
-    return calls
-
-
-def error_of(fn, *args):
-    """The exception fn(*args) raises, as text, or None.  The exception
-    itself is dropped: reporting its frames would print a <-> chain,
-    whose repr is exponential in the links."""
-    try:
-        fn(*args)
-    except Exception as e:
-        return f"{type(e).__name__}: {e}"
-    return None
-
-
 SIG_P = make_signature(preds=[("p", 1)])
 
 
 class TestSharedWork:
     """Each shared node is visited once per walk: a concept DAG in
-    `_ext`, a desugared `<->` chain in `interpret`."""
+    `_ext`, a desugared `<->` chain in `interpret`, `ground`,
+    `all_var_names` and the commands built on them.  Each budget fails a
+    walk that is exponential in the links in milliseconds."""
+
+    #: a world whose p holds of one element
+    WORLD = "domain a b\nrel p/1 = (a)\n"
+    #: parsing or grounding a 24-link chain builds 3 conjunctions per
+    #: link: mk_iff's and its two implications'
+    CONJS = 3 * 24
 
     def test_tower_joins_once_per_level(self, monkeypatch):
         u = interpret(parse("p(x)"))
@@ -569,7 +552,7 @@ class TestSharedWork:
         w = load_world(W1_TEXT, SIG)
         for evaluate in (extensionalize_nomemo, extensionalize):
             with monkeypatch.context() as m:
-                joins = counting(m, "natural_join", 14)
+                joins = counting(m, semantics, "natural_join", 14)
                 r = evaluate(u, w)
                 assert len(joins) == 14
         ws = WorldSet([load_world(W1_TEXT, SIG)])
@@ -606,7 +589,7 @@ class TestSharedWork:
                         and hasattr(module, "free_vars"):
                     m.setattr(module, "free_vars", refuse)
             # three compiles of 3 conjunctions per link
-            conjs = counting(m, "conj", 3 * 3 * 24)
+            conjs = counting(m, semantics, "conj", 3 * 3 * 24)
             assert error_of(interpret, f) is None
             assert error_of(lambda: got.update(rel=eval_formula(f, w))) is None
             assert error_of(lambda: got.update(out=run_cli())) is None
@@ -619,6 +602,110 @@ class TestSharedWork:
         for w in enumerate_worlds(SIG_P, ["a", "b"]):
             # an odd number of p(x) terms chained by <-> is p(x)
             assert extensionalize_nomemo(u, w) == extensionalize(p, w)
+
+    @pytest.mark.parametrize("template, evaluate", [
+        ("{}", eval_formula),
+        ("<< {} >>_{{}}^{{x}}", eval_abstraction),
+    ], ids=["formula", "term"])
+    def test_iff_chain_grounds_in_linear_time(self, monkeypatch, template, evaluate):
+        parse = parse_term if template.startswith("<<") else parse_formula
+        x = parse(template.format(self.chain_text(24)), SIG_P)
+        got = []
+        with monkeypatch.context() as m:
+            counting(m, Conj, "__post_init__", self.CONJS)
+            err = error_of(lambda: got.append(ground(x, {"x": A})))
+        assert err is None
+        assert got[0].fv == ()
+        assert evaluate(got[0], load_world(self.WORLD, SIG_P)).as_bool()
+
+    def test_iff_chain_grounding_constraint_in_linear_time(self, monkeypatch):
+        w = load_world(self.WORLD, SIG_P)
+        f = self.chain(24)
+        got = []
+        for value in (A, B):
+            with monkeypatch.context() as m:
+                counting(m, Conj, "__post_init__", self.CONJS)
+                # the grounded formula and f, compiled once each
+                counting(m, semantics, "conj", 2 * self.CONJS)
+                err = error_of(
+                    lambda: got.append(check_tarski_constraint(f, {"x": value}, w))
+                )
+            assert err is None
+        assert got == [True, True]
+
+    def test_nested_abstractions_ground_in_linear_time(self, monkeypatch):
+        # each level's <-> holds the level below twice
+        text = "p(x)"
+        for _ in range(24):
+            text = f"p(<< ({text}) <-> p(x) >>_{{}}^{{x}})"
+        f = parse_formula(text, SIG_P)
+        got = []
+        with monkeypatch.context() as m:
+            counting(m, Conj, "__post_init__", self.CONJS)
+            err = error_of(lambda: got.append(ground(f, {"x": A})))
+        assert err is None
+        assert got[0].fv == ()
+
+    @pytest.mark.parametrize("command, grounds, out", [
+        ("eval", 1, "t\n"),
+        ("check-constraint", 2, "checked 2 groundings over 1 worlds: 0 violations\n"),
+    ], ids=["eval", "check-constraint"])
+    def test_iff_chain_cli_grounding_in_linear_time(
+        self, monkeypatch, capsys, tmp_path, command, grounds, out
+    ):
+        sig, world, formulas = (tmp_path / n for n in ("sig.txt", "w.txt", "f.txt"))
+        sig.write_text("pred p/1\n")
+        world.write_text(self.WORLD)
+        formulas.write_text(self.chain_text(24) + "\n")
+        argv = [command, "--sig", str(sig), "--world", str(world)]
+        if command == "eval":
+            argv += ["--assign", "x=a", self.chain_text(24)]
+        else:
+            argv += ["--formulas", str(formulas)]
+        codes = []
+        with monkeypatch.context() as m:
+            # one parse, then one grounding per assignment
+            counting(m, Conj, "__post_init__", (1 + grounds) * self.CONJS)
+            err = error_of(lambda: codes.append(main(argv)))
+        assert err is None
+        assert codes == [0]
+        assert capsys.readouterr().out == out
+
+    def test_exists1_over_an_iff_chain_parses_in_linear_time(self, monkeypatch):
+        text = f"exists1 x . ({self.chain_text(24)})"
+        got = {}
+        with monkeypatch.context() as m:
+            # the chain, its copy under the fresh name, and 3 more
+            counting(m, Conj, "__post_init__", 2 * self.CONJS + 3)
+            # all_var_names and the depth check visit each of the about
+            # 2 x 9 nodes per link at most 3 times between them
+            counting(m, syntax, "_children", 3 * 2 * 9 * 24)
+            err = error_of(lambda: got.update(f=parse_formula(text, SIG_P)))
+        assert err is None
+        for w in enumerate_worlds(SIG_P, ["a", "b"]):
+            # the chain is p(x), and exactly one element has p
+            one = len(w.pred_map[P].tuples) == 1
+            assert eval_formula(got["f"], w).as_bool() == one
+
+    @pytest.mark.xfail(strict=True, reason="tarski_satisfied walks the desugared "
+                       "tree, not the DAG (ROADMAP items 1 and 10)")
+    def test_iff_chain_reference_in_linear_time(self, monkeypatch):
+        w = load_world(self.WORLD, SIG_P)
+        f = self.chain(24)
+        with monkeypatch.context() as m:
+            # one call per formula node: 8 per link, and the first p(x)
+            counting(m, semantics, "tarski_satisfied", 8 * 24 + 1)
+            err = error_of(lambda: tarski_satisfied(f, {"x": A}, w))
+        assert err is None
+
+    @pytest.mark.xfail(strict=True, reason="format_formula prints the desugared "
+                       "tree (ROADMAP item 12)")
+    def test_iff_chain_prints_in_linear_time(self, monkeypatch):
+        f = self.chain(24)
+        with monkeypatch.context() as m:
+            counting(m, syntax, "format_formula", 8 * 24 + 1)
+            err = error_of(lambda: syntax.format_formula(f))
+        assert err is None
 
     def test_short_iff_chain_agrees_with_the_reference(self):
         f = self.chain(8)

@@ -34,7 +34,6 @@ from intlog.syntax import (
     format_term,
     free_vars,
     ground,
-    ground_term,
     make_abstraction,
     make_signature,
     mk_exists_unique,
@@ -389,6 +388,14 @@ class TestSubstitute:
         f = P("q(x, y) & exists z . p(z)")
         assert substitute(f, {}) is f
 
+    def test_shared_subformula_under_a_binder_keeps_its_bound_variable(self):
+        # one Conj object, reached once with x free and once under a
+        # binder of x
+        shared = P("q(x, y) & q(y, x)")
+        f = Conj(shared, Exists("x", shared))
+        out = substitute(f, {"x": elem_term(A), "y": elem_term(B)})
+        assert out == P("(q(#a, #b) & q(#b, #a)) & exists x . (q(x, #b) & q(#b, x))")
+
 
 # ---------------------------------------------------------------------------
 # grounding
@@ -413,7 +420,7 @@ class TestGround:
 
     def test_abstraction_beta_instantiated(self):
         t = parse_term("<< q(x,y) >>_{x}^{y}", SIG)
-        out = ground_term(t, {"y": B})
+        out = ground(t, {"y": B})
         assert out == parse_term("<< q(x,#b) >>_{x}", SIG)
         assert out.alpha == ("x",)
         assert out.beta == ()
@@ -425,7 +432,7 @@ class TestGround:
         assert out == nested
         assert out.args[0].beta == ()
         t = f.args[0]
-        assert ground_term(t, {"y": A, "z": B}) == nested.args[0]
+        assert ground(t, {"y": A, "z": B}) == nested.args[0]
 
     @pytest.mark.parametrize("text", [
         "(exists1 x . q(x, y)) <-> p(z)",
@@ -440,6 +447,12 @@ class TestGround:
             nested = substitute(nested, {v: elem_term(g[v])})
         assert ground(f, g) == nested
         assert free_vars(ground(f, g)) == ()
+
+    def test_grounding_keeps_shared_subformulas(self):
+        out = ground(P("(q(x, y) & p(x)) <-> p(y)"), {"x": A, "y": B})
+        assert out == P("(q(#a, #b) & p(#a)) <-> p(#b)")
+        # mk_iff holds its left side twice; so does the grounded formula
+        assert out.left.sub.left is out.right.sub.right.sub
 
     def test_ground_embeds_element(self):
         out = ground(P("p(x)"), {"x": ConceptHandle(3, "v")})
@@ -661,3 +674,34 @@ def test_every_node_derives_its_free_variables(f, other, var, mask, flip, value)
 def test_ground_closes_formula(f):
     g = {v: A for v in free_vars(f)}
     assert free_vars(ground(f, g)) == ()
+
+
+def reference_ground_term(t, g):
+    """The rule for grounding a term, written out as a fold: a variable
+    becomes its literal, and an abstraction's beta variables are
+    substituted into its body one at a time, leaving beta empty."""
+    if isinstance(t, Variable):
+        return elem_term(g[t.name])
+    if isinstance(t, Abstraction) and t.beta:
+        body = t.body
+        for v in t.beta:
+            body = substitute(body, {v: elem_term(g[v])})
+        return Abstraction(body, t.alpha)
+    return t
+
+
+def terms():
+    """Base terms, and abstractions over generated formulas."""
+    return st.one_of(
+        base_terms,
+        st.builds(make_abs, formulas(), st.integers(min_value=0, max_value=7), st.booleans()),
+    )
+
+
+@settings(max_examples=80)
+@given(terms(), st.lists(st.sampled_from([A, B]), min_size=3, max_size=3))
+def test_ground_of_a_term_is_one_walk_with_the_formula(t, values):
+    g = dict(zip(("x", "y", "z"), values))
+    assert ground(t, g).fv == ()
+    assert ground(Atom(PredicateSymbol("p", 1), (t,)), g).args[0] == ground(t, g)
+    assert ground(t, g) == reference_ground_term(t, g)

@@ -57,7 +57,6 @@ from intlog.syntax import (
     PredicateSymbol,
     Variable,
     free_vars,
-    ground_term,
     make_signature,
     parse_formula,
     parse_term,
@@ -831,7 +830,7 @@ EQUIV_TERMS = [
 
 
 def _reference_concepts(t1, t2, g, ws):
-    return [interpret_abstraction(ground_term(t, g), ws.worlds[0]) for t in (t1, t2)]
+    return [interpret_abstraction(ground(t, g), ws.worlds[0]) for t in (t1, t2)]
 
 
 def reference_strong(t1, t2, g, ws):
