@@ -12,7 +12,7 @@ import itertools
 import os
 import shlex
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from .concepts import format_concept
 from .errors import IntlogError
@@ -29,11 +29,8 @@ from .semantics import (
     World,
     check_diagram,
     check_tarski_constraint,
-    eval_abstraction,
     eval_formula,
-    extensionalize_nomemo,
     interpret,
-    interpret_abstraction,
 )
 from .syntax import (
     Abstraction,
@@ -97,6 +94,13 @@ def _parse_pairs(text: str, what: str) -> Dict[str, str]:
             raise CliError(f"{what} gives {k!r} twice")
         out[k] = v
     return out
+
+
+def _formula_or_term(text: str, sig: Signature) -> Union[Formula, Abstraction]:
+    """The formula, or the abstraction term when the text starts with
+    `<<`."""
+    text = text.strip()
+    return parse_term(text, sig) if text.startswith("<<") else parse_formula(text, sig)
 
 
 def _names(text: str) -> List[str]:
@@ -216,16 +220,13 @@ def _var_tuple(names) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    sig = _signature(args)
-    text = args.formula.strip()
-    if text.startswith("<<"):
-        t = parse_term(text, sig)
-        ast = _dump_term(t)
-        _emit(args, f"ast {ast}\nalpha {_var_tuple(t.alpha)}\nbeta {_var_tuple(t.beta)}",
-              kind="abstraction", ast=ast, alpha=" ".join(t.alpha), beta=" ".join(t.beta))
+    x = _formula_or_term(args.formula, _signature(args))
+    if isinstance(x, Abstraction):
+        ast = _dump_term(x)
+        _emit(args, f"ast {ast}\nalpha {_var_tuple(x.alpha)}\nbeta {_var_tuple(x.beta)}",
+              kind="abstraction", ast=ast, alpha=" ".join(x.alpha), beta=" ".join(x.beta))
         return 0
-    f = parse_formula(text, sig)
-    ast, fv = _dump_ast(f), f.fv
+    ast, fv = _dump_ast(x), x.fv
     _emit(args, f"ast {ast}\nfree {_var_tuple(fv)}",
           kind="formula", ast=ast, free=" ".join(fv))
     return 0
@@ -234,12 +235,7 @@ def cmd_parse(args) -> int:
 def cmd_intension(args) -> int:
     sig = _signature(args)
     w = load_world(_read(args.world), sig) if args.world else None
-    text = args.formula.strip()
-    if text.startswith("<<"):
-        t = parse_term(text, sig)
-        u = interpret_abstraction(t, w)
-    else:
-        u = interpret(parse_formula(text, sig), w)
+    u = interpret(_formula_or_term(args.formula, sig), w)
     concept = format_concept(u)
     _emit(args, f"concept {concept}\ndegree {u.degree}",
           kind="concept", concept=concept, degree=u.degree)
@@ -250,20 +246,13 @@ def cmd_eval(args) -> int:
     sig = _signature(args)
     w = load_world(_read(args.world), sig)
     raw = _parse_pairs(args.assign, "--assign")
-    text = args.formula.strip()
-    if text.startswith("<<"):
-        t = parse_term(text, sig)
-        if raw:
-            t = ground(t, _resolve_assignment(raw, w))
-        r = eval_abstraction(t, w)
-        out = format_relation(r)
-    elif raw:
-        f = parse_formula(text, sig)
-        g = _resolve_assignment(raw, w)
-        value = extensionalize_nomemo(interpret(ground(f, g), w), w).as_bool()
-        out = "t" if value else "f"
+    x = _formula_or_term(args.formula, sig)
+    if raw:
+        x = ground(x, _resolve_assignment(raw, w))
+    r = eval_formula(x, w)
+    if raw and not isinstance(x, Abstraction):
+        out = "t" if r.as_bool() else "f"
     else:
-        r = eval_formula(parse_formula(text, sig), w)
         out = format_relation(r)
     _emit(args, out, kind="eval", value=out)
     return 0

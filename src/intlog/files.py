@@ -31,7 +31,7 @@ from .relalg import (
     element_name,
     rel,
 )
-from .semantics import RESERVED_PREDS, World, WorldError, interpret_abstraction
+from .semantics import RESERVED_PREDS, World, WorldError, interpret
 from .syntax import (
     Abstraction,
     Formula,
@@ -152,7 +152,7 @@ class _Preamble:
         missing = sorted(self.sig.consts - set(self.const_map))
         if missing:
             raise WorldError(f"constants without denotation: {missing}")
-        return World(name, self.domain, self.const_map, pred_map, self.element_names)
+        return World(name, self.domain, self.const_map, pred_map)
 
     def _domain(self, m) -> None:
         if self.domain:
@@ -173,14 +173,12 @@ class _Preamble:
             raise WorldError("domain must be declared first")
         # the term is interpreted over the elements declared so far, in
         # a world named after the file's world or world set
-        interim = World(
-            self.name, self.domain, self.const_map, {}, dict(self.element_names)
-        )
+        interim = World(self.name, self.domain, self.const_map, {})
         try:
             t = parse_term(term_text, self.sig)
             if not isinstance(t, Abstraction):
                 raise WorldError(f"needs an abstraction term, got {term_text!r}")
-            h = ConceptHandle(interpret_abstraction(t, interim).cid, name)
+            h = ConceptHandle(interpret(t, interim).cid, name)
         except IntlogError as e:
             raise WorldError(f"reify {name}: {e}") from e
         self.domain.append(h)

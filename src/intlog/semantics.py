@@ -3,8 +3,9 @@
 Step one is world-independent: `interpret` compiles a formula to a
 concept, homomorphically (conjunction goes to a join-style conj whose
 index pairs come from the two free-variable tuples, negation to neg,
-and an existential to exists_n where n is the position of the variable
-in the body's free tuple, or 0 when it is not free).  Step two is
+an existential to exists_n where n is the position of the variable
+in the body's free tuple, or 0 when it is not free, Box to necess and
+Diamond to neg(necess(neg))).  Step two is
 `extensionalize`: each world maps concepts to relations through the
 relational algebra.  A concept's extension depends only on the
 world's relations for the predicates it reads (and the domain), so the
@@ -21,7 +22,8 @@ literals itself, not through the compiled route's `_term_element`.  So
 layer, the reference calls `interpret` only to name the concept that an
 abstraction argument reifies.
 
-Abstraction terms: `interpret_abstraction` maps << f >>_{a}^{b} to the
+Abstraction terms: `interpret` is one map from formulas and
+abstraction terms alike to concepts.  It maps << f >>_{a}^{b} to the
 union, over all instantiations of the beta variables by domain
 elements, of the interpretation of the instantiated body; with empty
 beta it is just the interpretation of the body.  When an abstraction
@@ -39,13 +41,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .concepts import (
     Concept,
     atom_concept,
     conj,
     exists,
+    necess,
     neg,
     union_concepts,
 )
@@ -107,7 +110,9 @@ class World:
 
     The world carries the relations of the reserved predicates itself,
     and neither can be declared: the identity relation for `==` (one
-    shared relation per domain) and TRUE for `true`.  Worlds are
+    shared relation per domain) and TRUE for `true`.  The table of
+    element names, `element_names`, is derived from the domain and
+    shared in the same way.  Worlds are
     immutable after construction apart from the back reference to the
     one WorldSet that adopts the world, which holds the extension memo.
     """
@@ -118,7 +123,6 @@ class World:
         domain: Iterable[DomainElement],
         const_map: Optional[Dict[str, DomainElement]] = None,
         pred_map: Optional[Dict[PredicateSymbol, Relation]] = None,
-        element_names: Optional[Dict[str, DomainElement]] = None,
     ):
         self.name = name
         self.domain = frozenset(domain)
@@ -126,14 +130,10 @@ class World:
             raise WorldError("a world needs a non-empty domain")
         self.const_map = dict(const_map or {})
         self.pred_map = dict(pred_map or {})
-        if element_names is None:
-            element_names = {}
-            for e in self.domain:
-                n = element_name(e)
-                if n in element_names:
-                    raise WorldError(f"duplicate element name {n!r}")
-                element_names[n] = e
-        self.element_names = element_names
+        self._sorted = sorted(self.domain, key=element_key)
+        identity, self.element_names = _identity(
+            self.domain, tuple(map(element_name, self._sorted))
+        )
         for c, e in self.const_map.items():
             if e not in self.domain:
                 raise WorldError(f"constant {c} denotes {element_name(e)}, not in domain")
@@ -148,8 +148,7 @@ class World:
                         raise WorldError(
                             f"tuple element {element_name(e)} of {p} not in domain"
                         )
-        self._sorted = sorted(self.domain, key=element_key)
-        self.pred_map[ID_PRED] = _identity(self.domain, tuple(map(element_name, self._sorted)))
+        self.pred_map[ID_PRED] = identity
         self.pred_map[TRUE_PRED] = TRUE
         self._relations = {p: r.tuples for p, r in self.pred_map.items()}
         self.world_set = None  # set once, when a WorldSet adopts this world
@@ -191,18 +190,29 @@ def _term_element(t: Term, w: Optional[World]) -> DomainElement:
                 f"abstraction argument {t} has open beta variables"
                 f" {', '.join(t.beta)}"
             )
-        return ConceptHandle(interpret_abstraction(t, w).cid)
+        return ConceptHandle(interpret(t, w).cid)
     raise SemanticsError(f"not a ground term: {t}")
 
 
-def interpret(f: Formula, w: Optional[World] = None) -> Concept:
-    """Compile a desugared formula to its concept (the fixed
-    interpretation).  A world is only needed to resolve constants,
-    element literals and abstraction arguments; the resulting concept
-    is world-independent because constants are rigid across a set.
-    The walk visits each shared node once (desugaring shares
-    subformulas)."""
-    return _compile(f, w, {})
+def interpret(x: Union[Formula, Abstraction], w: Optional[World] = None) -> Concept:
+    """Compile a desugared formula or an abstraction term to its concept
+    (the fixed interpretation).  A term with empty beta gives its body's
+    concept, otherwise the union over every instantiation of beta by w's
+    domain of the instantiated body's concept.  A world is only needed
+    for those instantiations and to resolve constants, element literals
+    and abstraction arguments; the resulting concept is world-independent
+    because constants are rigid across a set.  The walk visits each
+    shared node once (desugaring shares subformulas)."""
+    if not isinstance(x, Abstraction):
+        return _compile(x, w, {})
+    if not x.beta:
+        return interpret(x.body, w)
+    if w is None:
+        raise SemanticsError("instantiating beta variables needs a world")
+    return union_concepts([
+        interpret(ground(x, dict(zip(x.beta, combo))).body, w)
+        for combo in itertools.product(w.sorted_domain(), repeat=len(x.beta))
+    ])
 
 
 def _compile(f: Formula, w: Optional[World], done: dict) -> Concept:
@@ -226,28 +236,14 @@ def _compile(f: Formula, w: Optional[World], done: dict) -> Concept:
     elif isinstance(f, Exists):
         fv = f.sub.fv
         out = exists(fv.index(f.var) + 1 if f.var in fv else 0, _compile(f.sub, w, done))
+    elif isinstance(f, Box):
+        out = necess(_compile(f.sub, w, done))
+    elif isinstance(f, Diamond):
+        out = neg(necess(neg(_compile(f.sub, w, done))))
     else:
         raise SemanticsError(f"not a formula: {f!r}")
     done[id(f)] = out
     return out
-
-
-def interpret_abstraction(t: Abstraction, w: Optional[World] = None) -> Concept:
-    """Interpret an abstraction term as a degree-|alpha| concept.
-
-    With empty beta this is the interpretation of the body; otherwise
-    it is the union over all beta instantiations by elements of the
-    world's domain.
-    """
-    if not t.beta:
-        return interpret(t.body, w)
-    if w is None:
-        raise SemanticsError("instantiating beta variables needs a world")
-    members = []
-    for combo in itertools.product(w.sorted_domain(), repeat=len(t.beta)):
-        g = dict(zip(t.beta, combo))
-        members.append(interpret(ground(t, g).body, w))
-    return union_concepts(members)
 
 
 def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
@@ -270,7 +266,7 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
             raise SemanticsError(f"unknown element #{t.name} in world {w.name}")
         return w.element_names[t.name]
     if isinstance(t, Abstraction):
-        return ConceptHandle(interpret(ground(t, g).body, w).cid)
+        return ConceptHandle(interpret(ground(t, g), w).cid)
     raise SemanticsError(f"not a term: {t!r}")
 
 
@@ -279,11 +275,18 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _identity(domain: frozenset, names: tuple) -> Relation:
-    """One identity relation for all worlds over equal domains whose
-    elements, in element_key order, have the same names (a reified
-    element's name is not part of its equality, but is printed)."""
-    return identity_relation(domain)
+def _identity(domain: frozenset, names: tuple) -> Tuple[Relation, Dict[str, DomainElement]]:
+    """One identity relation and one element-name table for all worlds
+    over equal domains whose elements, in element_key order, have the
+    same names (a reified element's name is not part of its equality,
+    but is printed).  The worlds share the table and never change it;
+    a name given to two elements raises WorldError."""
+    table: Dict[str, DomainElement] = {}
+    for n, e in zip(names, sorted(domain, key=element_key)):
+        if n in table:
+            raise WorldError(f"duplicate element name {n!r}")
+        table[n] = e
+    return identity_relation(domain), table
 
 
 def atom_row(u: Concept, row: tuple) -> Optional[tuple]:
@@ -424,18 +427,13 @@ def tarski_eval(f: Formula, w: World) -> Relation:
 # evaluation helpers and the checkers
 # ---------------------------------------------------------------------------
 
-def eval_formula(f: Formula, w: World) -> Relation:
-    """Extension of f in w through the two-step route, labeled by its
-    free variables unless a fault in the route changed the arity."""
-    r = extensionalize(interpret(f, w), w)
-    return r.with_attrs(f.fv or None) if r.arity == len(f.fv) else r
-
-
-def eval_abstraction(t: Abstraction, w: World) -> Relation:
-    """Extension of an abstraction term, labeled by its alpha variables
-    in body order."""
-    r = extensionalize(interpret_abstraction(t, w), w)
-    labels = tuple(v for v in t.body.fv if v not in t.beta)
+def eval_formula(x: Union[Formula, Abstraction], w: World) -> Relation:
+    """Extension of a formula or an abstraction term in w through the
+    two-step route, labeled by the formula's free variables or the
+    term's alpha variables in body order, unless a fault in the route
+    changed the arity."""
+    r = extensionalize(interpret(x, w), w)
+    labels = tuple(v for v in x.body.fv if v in x.alpha) if isinstance(x, Abstraction) else x.fv
     return r.with_attrs(labels or None) if r.arity == len(labels) else r
 
 

@@ -261,7 +261,7 @@ class Diamond(_SameAsSub):
 
 
 #: The parser only produces Atom, Conj, Neg and Exists; the modal
-#: wrappers are understood by the reference evaluator.
+#: wrappers are understood by both evaluators.
 Formula = Union[Atom, Conj, Neg, Exists, Box, Diamond]
 
 

@@ -51,7 +51,6 @@ from .semantics import (
     atom_row,
     extensionalize,
     interpret,
-    interpret_abstraction,
     no_relation_error,
     tarski_satisfied,
 )
@@ -181,8 +180,9 @@ def enumerate_worlds(
     Constants are not guessed: a signature with constants needs an
     explicit const_map (element names or elements), shared by every
     world, that names only declared constants.  Each predicate's
-    candidate relations, and the element-name table, are built once
-    and shared by the worlds that have them.
+    candidate relations are built once and shared by the worlds that
+    have them; the worlds share one element-name table, as all worlds
+    over the same named domain do.
     """
     elems = []
     seen = set()
@@ -234,7 +234,7 @@ def enumerate_worlds(
     ]
     dom = frozenset(elems)
     worlds = [
-        World(f"w{idx}", dom, consts, dict(zip(preds, rels)), by_name)
+        World(f"w{idx}", dom, consts, dict(zip(preds, rels)))
         for idx, rels in enumerate(itertools.product(*candidates))
     ]
     return WorldSet(worlds, name=f"enum{len(worlds)}")
@@ -425,9 +425,7 @@ def _grounded_concepts(t1: Abstraction, t2: Abstraction, g: Assignment, ws: Worl
             f"alpha arity mismatch: {len(t1.alpha)} vs {len(t2.alpha)}"
         )
     anchor = ws.worlds[0]
-    u1 = interpret_abstraction(ground(t1, g), anchor)
-    u2 = interpret_abstraction(ground(t2, g), anchor)
-    return u1, u2
+    return interpret(ground(t1, g), anchor), interpret(ground(t2, g), anchor)
 
 
 def strong_equiv(

@@ -30,11 +30,9 @@ from intlog.semantics import (
     World,
     check_diagram,
     check_tarski_constraint,
-    eval_abstraction,
     eval_formula,
     extensionalize,
     interpret,
-    interpret_abstraction,
     tarski_eval,
 )
 from intlog.syntax import (
@@ -132,7 +130,7 @@ def test_criterion_3_abstraction_projection(ws64):
     with criterion(3, "abstraction extension is the beta projection"):
         for w in ws64:
             for t in terms:
-                via_union = eval_abstraction(t, w)
+                via_union = eval_formula(t, w)
                 body = tarski_eval(t.body, w)
                 via_proj = project_out_many(body, t.beta) if t.beta else body
                 assert via_union.same_tuples(via_proj), f"{t} @ {w.name}"
@@ -175,7 +173,7 @@ def test_criterion_4a_join_attribute_ordering(ws64):
 def _criterion_4b(ws64):
     t = parse_term("<< p(x) & ~p(x) >>_{}^{x}", SIG)
     for w in ws64:
-        r = extensionalize(interpret_abstraction(t, w), w)
+        r = extensionalize(interpret(t, w), w)
         assert r.arity == 0 and not r.tuples, w.name
 
 
@@ -188,7 +186,7 @@ def _criterion_4c(ws64):
         t = parse_term(term_text, SIG)
         f = parse_formula(formula_text, SIG)
         for w in ws64:
-            lhs = extensionalize(interpret_abstraction(t, w), w)
+            lhs = extensionalize(interpret(t, w), w)
             rhs = extensionalize(interpret(f, w), w)
             assert lhs.arity == rhs.arity == 0
             assert lhs.tuples == rhs.tuples, (term_text, w.name)
@@ -216,8 +214,8 @@ def _criterion_4d():
     t2 = parse_term("<< sold(x, y) >>_{x,y}", sig)
     report = strong_equiv(t1, t2, {}, ws)
     assert report.equivalent and not report.same_concept
-    u1 = interpret_abstraction(t1)
-    u2 = interpret_abstraction(t2)
+    u1 = interpret(t1)
+    u2 = interpret(t2)
     assert u1.cid != u2.cid
 
 

@@ -213,3 +213,18 @@ def test_no_module_calls_free_vars():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_formula_or_term_text_is_told_apart_in_one_place():
+    # every command that takes a formula or an abstraction term reads it
+    # through one reader, so no two commands can disagree on which it is
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "startswith"
+                and [getattr(a, "value", None) for a in node.args] == ["<<"]
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert len(offenders) == 1, offenders

@@ -7,8 +7,9 @@ for it in the table; that check must report a mismatch.  The checks are
 the corpus parts of the acceptance criteria over the 64 worlds of
 {p/1, q/2} on {a, b}: the criterion-1 diagram sweep, the same sweep
 keeping the extension memo across worlds, a sweep of formulas with a
-constant (the corpus has none), and the criterion-3 comparison of an
-abstraction's extension with the beta projection of its body.  The
+constant (the corpus has none), the criterion-3 comparison of an
+abstraction's extension with the beta projection of its body, and a
+modal sweep of criterion 6's pool under `Box` and `Diamond`.  The
 reify sweep checks the corpus formulas with an abstraction term over
 the 64 worlds on {a, b} where b is the reified concept of p: there an
 atom with an abstraction argument can hold, while over particulars
@@ -19,6 +20,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
+from test_acceptance import MODAL_POOL
 
 from intlog import semantics
 from intlog.concepts import exists, union_concepts
@@ -27,21 +29,24 @@ from intlog.relalg import ConceptHandle, complement, natural_join, project_out, 
 from intlog.semantics import (
     atom_row,
     check_diagram,
-    eval_abstraction,
-    interpret_abstraction,
+    eval_formula,
+    interpret,
     tarski_eval,
 )
 from intlog.syntax import (
     ID_PRED,
     Abstraction,
+    Box,
+    Conj,
     Constant,
+    Diamond,
     ElemTerm,
     format_formula,
     make_signature,
     parse_formula,
     parse_term,
 )
-from intlog.worlds import enumerate_worlds
+from intlog.worlds import WorldSet, diamond_extension, enumerate_worlds
 
 SIG = corpus_signature()
 SIG_C = make_signature(preds=[("p", 1), ("q", 2)], consts=["c"])
@@ -63,7 +68,7 @@ def constant_worlds():
 @lru_cache(maxsize=None)
 def reified_worlds():
     # named b, so the corpus's #b literals resolve to the handle
-    p = interpret_abstraction(parse_term("<< p(x) >>_{x}", SIG))
+    p = interpret(parse_term("<< p(x) >>_{x}", SIG))
     return enumerate_worlds(SIG, ["a", ConceptHandle(p.cid, "b")])
 
 
@@ -101,6 +106,14 @@ def reify_sweep():
     return first_mismatch(reified_worlds(), formulas)
 
 
+def modal_sweep():
+    pool = [parse_formula(t, SIG) for t in MODAL_POOL]
+    px, some_q = parse_formula("p(x)", SIG), parse_formula("exists y . q(x, y)", SIG)
+    formulas = [Box(f) for f in pool] + [Diamond(f) for f in pool]
+    formulas += [Box(Diamond(px)), Conj(px, Box(some_q))]
+    return first_mismatch(corpus_worlds(), formulas)
+
+
 def abstraction_projection():
     n = 0
     for w in corpus_worlds():
@@ -108,7 +121,7 @@ def abstraction_projection():
             n += 1
             body = tarski_eval(t.body, w)
             via_projection = project_out_many(body, t.beta) if t.beta else body
-            if not eval_abstraction(t, w).same_tuples(via_projection):
+            if not eval_formula(t, w).same_tuples(via_projection):
                 return n
         w.clear_memo()
     return None
@@ -174,6 +187,14 @@ def abstraction_argument_is_the_wrong_concept(mp):
         _term_element(t, w).cid + 1) if isinstance(t, Abstraction) else _term_element(t, w))
 
 
+def necess_takes_the_union(mp):
+    mp.setattr(WorldSet, "box_extension", lambda ws, u: diamond_extension(u, ws))
+
+
+def necess_is_the_identity(mp):
+    mp.setattr(semantics, "necess", lambda u: u)
+
+
 MUTANTS = [
     (join_drops_an_index_pair, diagram_sweep),
     (complement_leaves_out_its_least_tuple, diagram_sweep),
@@ -186,6 +207,8 @@ MUTANTS = [
     (literal_a_resolves_to_b, diagram_sweep),
     (constant_resolves_to_b, constant_sweep),
     (abstraction_argument_is_the_wrong_concept, reify_sweep),
+    (necess_takes_the_union, modal_sweep),
+    (necess_is_the_identity, modal_sweep),
 ]
 
 
@@ -209,7 +232,7 @@ def test_check_catches_mutant(mutant, check, monkeypatch, fresh_memos):
 
 @pytest.mark.parametrize(
     "check",
-    [diagram_sweep_keeping_the_memo, constant_sweep, reify_sweep],
+    [diagram_sweep_keeping_the_memo, constant_sweep, reify_sweep, modal_sweep],
     ids=lambda fn: fn.__name__,
 )
 def test_check_passes_without_a_mutant(check, fresh_memos):

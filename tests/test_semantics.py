@@ -12,6 +12,7 @@ import sys
 import pytest
 from conftest import counting, error_of
 from hypothesis import given, settings, strategies as st
+from test_mutants import corpus_worlds, reified_worlds
 
 from intlog import semantics, syntax
 from intlog.cli import main
@@ -26,6 +27,7 @@ from intlog.concepts import (
     union_concepts,
 )
 from intlog.files import load_world, load_world_set
+from intlog.gen import corpus_abstractions, corpus_signature
 from intlog.relalg import (
     ConceptHandle,
     FALSE,
@@ -44,12 +46,10 @@ from intlog.semantics import (
     assignment_extend,
     check_diagram,
     check_tarski_constraint,
-    eval_abstraction,
     eval_formula,
     extensionalize,
     extensionalize_nomemo,
     interpret,
-    interpret_abstraction,
     tarski_eval,
     tarski_satisfied,
 )
@@ -59,7 +59,9 @@ from intlog.syntax import (
     AssignmentError,
     AbstractionError,
     Atom,
+    Box,
     Conj,
+    Diamond,
     Exists,
     Neg,
     PredicateSymbol,
@@ -338,16 +340,16 @@ class TestInterpret:
 class TestInterpretAbstraction:
     def test_beta_empty_is_body_interpretation(self, w1):
         t = parse_term("<< q(x, y) >>_{x,y}", SIG)
-        assert interpret_abstraction(t, w1) is atom_concept(Q, (1, 2))
+        assert interpret(t, w1) is atom_concept(Q, (1, 2))
 
     def test_alpha_order_is_inert(self, w1):
         t1 = parse_term("<< q(x, y) >>_{x,y}", SIG)
         t2 = parse_term("<< q(x, y) >>_{y,x}", SIG)
-        assert interpret_abstraction(t1, w1) is interpret_abstraction(t2, w1)
+        assert interpret(t1, w1) is interpret(t2, w1)
 
     def test_beta_union_members(self, w1):
         t = parse_term("<< q(x, y) >>_{x}^{y}", SIG)
-        u = interpret_abstraction(t, w1)
+        u = interpret(t, w1)
         expect = union_concepts(
             [interpret(parse("q(x, #a)")), interpret(parse("q(x, #b)"))]
         )
@@ -357,7 +359,7 @@ class TestInterpretAbstraction:
     def test_beta_needs_world(self):
         t = parse_term("<< q(x, y) >>_{x}^{y}", SIG)
         with pytest.raises(SemanticsError, match="needs a world"):
-            interpret_abstraction(t)
+            interpret(t)
 
     def test_malformed_term_rejected(self):
         # a malformed term denotes nothing useful, so it cannot be built
@@ -365,6 +367,23 @@ class TestInterpretAbstraction:
             Abstraction(parse("q(x, y)"), ("x", "x"))
         with pytest.raises(AbstractionError, match="beta inconsistent"):
             make_abstraction(parse("q(x, y)"), ("x",), ())
+
+    @pytest.mark.parametrize("worlds", [corpus_worlds, reified_worlds],
+                             ids=["particulars", "reified"])
+    def test_corpus_terms_give_the_union_fold(self, worlds):
+        # the rule written out: the union over every beta instantiation
+        # of the grounded body's concept, or the body's concept when
+        # beta is empty; columns are alpha in body order
+        terms = corpus_abstractions(corpus_signature())
+        assert len(terms) == 55
+        for w in worlds():
+            for t in terms:
+                combos = itertools.product(w.sorted_domain(), repeat=len(t.beta))
+                members = [interpret(ground(t, dict(zip(t.beta, c))).body, w) for c in combos]
+                assert interpret(t, w) is (union_concepts(members) if t.beta else members[0])
+                alpha = tuple(sorted(t.alpha, key=t.body.fv.index))
+                assert eval_formula(t, w).attrs == (alpha or None), f"{t} @ {w.name}"
+            w.clear_memo()
 
 
 class TestAssignmentExtend:
@@ -455,7 +474,7 @@ class TestAbstractionExtensions:
         # union over y of q(x, y=e) gives {} for e=a and {(a),(b)} for
         # e=b, so the union is {(a),(b)}, matching the projection
         t = parse_term("<< q(x, y) >>_{x}^{y}", SIG)
-        got = eval_abstraction(t, w1)
+        got = eval_formula(t, w1)
         assert got == rel(1, [(A,), (B,)], attrs=("x",))
         via_exists = eval_formula(parse("exists y . q(x, y)"), w1)
         assert got.same_tuples(via_exists)
@@ -464,17 +483,17 @@ class TestAbstractionExtensions:
         # union over x: rows of q starting with a give {(b)}, rows
         # starting with b give {(b)} again
         t = parse_term("<< q(x, y) >>_{y}^{x}", SIG)
-        assert eval_abstraction(t, w1) == rel(1, [(B,)], attrs=("y",))
+        assert eval_formula(t, w1) == rel(1, [(B,)], attrs=("y",))
 
     def test_contradiction_is_empty_everywhere(self, w1, w2):
         t = parse_term("<< p(x) & ~p(x) >>_{}^{x}", SIG)
         for w in (w1, w2):
-            assert eval_abstraction(t, w) == FALSE
+            assert eval_formula(t, w) == FALSE
 
     def test_columns_follow_body_order_not_alpha_order(self, w1):
         t1 = parse_term("<< q(x, y) >>_{x,y}", SIG)
         t2 = parse_term("<< q(x, y) >>_{y,x}", SIG)
-        r1, r2 = eval_abstraction(t1, w1), eval_abstraction(t2, w1)
+        r1, r2 = eval_formula(t1, w1), eval_formula(t2, w1)
         assert r1 == r2
         assert r1.attrs == ("x", "y")
         assert rel_equiv(r1, r2)
@@ -603,11 +622,8 @@ class TestSharedWork:
             # an odd number of p(x) terms chained by <-> is p(x)
             assert extensionalize_nomemo(u, w) == extensionalize(p, w)
 
-    @pytest.mark.parametrize("template, evaluate", [
-        ("{}", eval_formula),
-        ("<< {} >>_{{}}^{{x}}", eval_abstraction),
-    ], ids=["formula", "term"])
-    def test_iff_chain_grounds_in_linear_time(self, monkeypatch, template, evaluate):
+    @pytest.mark.parametrize("template", ["{}", "<< {} >>_{{}}^{{x}}"], ids=["formula", "term"])
+    def test_iff_chain_grounds_in_linear_time(self, monkeypatch, template):
         parse = parse_term if template.startswith("<<") else parse_formula
         x = parse(template.format(self.chain_text(24)), SIG_P)
         got = []
@@ -616,7 +632,7 @@ class TestSharedWork:
             err = error_of(lambda: got.append(ground(x, {"x": A})))
         assert err is None
         assert got[0].fv == ()
-        assert evaluate(got[0], load_world(self.WORLD, SIG_P)).as_bool()
+        assert eval_formula(got[0], load_world(self.WORLD, SIG_P)).as_bool()
 
     def test_iff_chain_grounding_constraint_in_linear_time(self, monkeypatch):
         w = load_world(self.WORLD, SIG_P)
@@ -733,6 +749,13 @@ class TestNecessOutsideWorldSet:
         u = necess(interpret(parse("p(x)")))
         with pytest.raises(SemanticsError, match="world set"):
             extensionalize(u, w1)
+
+    @pytest.mark.parametrize("modal", [Box, Diamond], ids=["box", "diamond"])
+    def test_modal_formula_is_refused_by_both_routes(self, w1, modal):
+        f = modal(parse("p(x)"))
+        for route in (tarski_eval, eval_formula, check_diagram):
+            with pytest.raises(SemanticsError, match="world set"):
+                route(f, w1)
 
 
 DIAGRAM_FORMULAS = [

@@ -42,7 +42,6 @@ from intlog.semantics import (
     extensionalize_nomemo,
     ground,
     interpret,
-    interpret_abstraction,
     tarski_eval,
     tarski_satisfied,
 )
@@ -652,7 +651,7 @@ class TestLiterals:
 
     @pytest.fixture(scope="class")
     def reified(self):
-        h = ConceptHandle(interpret_abstraction(parse_term("<< p(x) >>_{x}", SIG_PQ)).cid, "b")
+        h = ConceptHandle(interpret(parse_term("<< p(x) >>_{x}", SIG_PQ)).cid, "b")
         return h, enumerate_worlds(SIG_PQ, ["a", h])
 
     def test_grounding_by_a_reified_element_resolves_in_its_world(self, reified):
@@ -765,7 +764,7 @@ def concepts(draw, ws, depth=3, necess_ok=True):
     if kind == "atom":
         return draw(atoms())
     if kind == "abstraction":
-        return interpret_abstraction(draw(st.sampled_from(BETA_TERMS)), ws.worlds[0])
+        return interpret(draw(st.sampled_from(BETA_TERMS)), ws.worlds[0])
     if kind == "truth":
         return TRUTH_CONCEPT
     u = draw(concepts(ws, depth - 1, necess_ok and kind != "necess"))
@@ -830,7 +829,7 @@ EQUIV_TERMS = [
 
 
 def _reference_concepts(t1, t2, g, ws):
-    return [interpret_abstraction(ground(t, g), ws.worlds[0]) for t in (t1, t2)]
+    return [interpret(ground(t, g), ws.worlds[0]) for t in (t1, t2)]
 
 
 def reference_strong(t1, t2, g, ws):
