@@ -18,7 +18,11 @@ evaluated once per walk.
 and decides satisfaction recursively, never touching the relational
 algebra, and `assignment_extend` resolves constants and element
 literals itself, not through the compiled route's `_term_element`.  So
-`check_diagram` compares two separate evaluators.  Besides the syntax
+`check_diagram` compares two separate evaluators.  The reference walk's
+value is a bitmask of worlds: one bit for the world asked about, and
+one bit per member of its set below a Box or Diamond, whose body is
+walked once over the whole set from tables the set gives for that check
+alone, never from the compiled route's bitmask tables.  Besides the syntax
 layer, the reference calls `interpret` only to name the concept that an
 abstraction argument reifies.
 
@@ -115,6 +119,9 @@ class World:
     shared in the same way.  Worlds are
     immutable after construction apart from the back reference to the
     one WorldSet that adopts the world, which holds the extension memo.
+    A member of an enumerated set is a view the set builds when it is
+    asked for: changing it changes neither the set nor the next view of
+    the same member.
     """
 
     def __init__(
@@ -377,48 +384,73 @@ def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
     element equality and `true` holds, whatever relations w carries).
 
     Box and Diamond range over every world of w's world set (total
-    accessibility), so they need a world that belongs to one.
+    accessibility), so they need a world that belongs to one.  Each
+    is one walk of its body over the whole set at once, from tables
+    the set gives for this check alone (`WorldSet.membership`).
     """
+    return _holds(f, g, w, 1, {}) == 1
+
+
+def _holds(f: Formula, g: Assignment, w: World, sel: int, tables: dict) -> int:
+    """The reference walk: the bitmask of the worlds in sel where f
+    holds under g.  sel is 1, the world w alone, whose own relations
+    decide an atom; or the bitmask of every member of w's set (a Box or
+    Diamond body), whose shared domain and rigid constants are read off
+    w and where an atom reads its predicate's (row -> member bitmask)
+    table, asked of the set once per check and kept in tables.  A set
+    of one member is w itself, so sel 1 is exact for it too."""
     if isinstance(f, Atom):
         if f.pred == TRUE_PRED:
-            return True
+            return sel
         if f.pred == ID_PRED:
-            return assignment_extend(f.args[0], g, w) == assignment_extend(f.args[1], g, w)
-        base = w.pred_map.get(f.pred)
-        if base is None:
-            raise no_relation_error(f.pred, w)
+            same = assignment_extend(f.args[0], g, w) == assignment_extend(f.args[1], g, w)
+            return sel if same else 0
         row = tuple(assignment_extend(t, g, w) for t in f.args)
-        return row in base.tuples
+        if sel == 1:
+            base = w.pred_map.get(f.pred)
+            if base is None:
+                raise no_relation_error(f.pred, w)
+            return row in base.tuples  # a bool is the one-bit mask
+        table = tables.get(f.pred)
+        if table is None:
+            table = tables[f.pred] = w.world_set.membership(f.pred)
+        return table.get(row, 0)
     if isinstance(f, Conj):
-        return tarski_satisfied(f.left, g, w) and tarski_satisfied(f.right, g, w)
+        m = _holds(f.left, g, w, sel, tables)
+        return m and m & _holds(f.right, g, w, sel, tables)
     if isinstance(f, Neg):
-        return not tarski_satisfied(f.sub, g, w)
+        return sel & ~_holds(f.sub, g, w, sel, tables)
     if isinstance(f, Exists):
+        out = 0
         base = dict(g)
         for d in w.sorted_domain():
             base[f.var] = d
-            if tarski_satisfied(f.sub, base, w):
-                return True
-        return False
+            out |= _holds(f.sub, base, w, sel, tables)
+            if out == sel:
+                break
+        return out
     if isinstance(f, (Box, Diamond)):
         ws = w.world_set
         if ws is None:
             raise SemanticsError(
                 "box and diamond need a world that belongs to a world set"
             )
-        over = all if isinstance(f, Box) else any
-        return over(tarski_satisfied(f.sub, g, w2) for w2 in ws.worlds)
+        m = _holds(f.sub, g, w, ws.all_mask, tables)
+        holds = m == ws.all_mask if isinstance(f, Box) else m != 0
+        return sel if holds else 0
     raise SemanticsError(f"not a formula: {f!r}")
 
 
 def tarski_eval(f: Formula, w: World) -> Relation:
     """Brute-force evaluation: enumerate assignments over the free
     variables and collect the satisfying tuples.  Closed formulas give
-    an arity-0 truth value."""
+    an arity-0 truth value.  The assignments are one check, so Box and
+    Diamond ask the set for each table once."""
     fv = f.fv
     rows = set()
+    tables: dict = {}
     for combo in itertools.product(w.sorted_domain(), repeat=len(fv)):
-        if tarski_satisfied(f, dict(zip(fv, combo)), w):
+        if _holds(f, dict(zip(fv, combo)), w, 1, tables):
             rows.add(combo)
     return Relation(len(fv), frozenset(rows), fv or None)
 

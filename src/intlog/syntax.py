@@ -764,7 +764,6 @@ def substitute(x: Union[Formula, Term], m: Mapping[str, Term]) -> Union[Formula,
     Raises:
         CaptureError: if a free variable of a replacing term would fall
             under a binder of x (no automatic renaming is attempted).
-        IntlogError: on a `Box` or `Diamond` under a non-empty mapping.
     """
     if not m:
         return x
@@ -787,8 +786,8 @@ def substitute(x: Union[Formula, Term], m: Mapping[str, Term]) -> Union[Formula,
             if out is None:
                 out = done[id(x)] = Conj(sub(x.left, m, done), sub(x.right, m, done))
             return out
-        if isinstance(x, Neg):
-            return Neg(sub(x.sub, m, done))
+        if isinstance(x, (Neg, Box, Diamond)):
+            return type(x)(sub(x.sub, m, done))
         if isinstance(x, (Constant, ElemTerm)):
             return x
         if not isinstance(x, (Exists, Abstraction)):

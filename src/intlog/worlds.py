@@ -2,23 +2,30 @@
 
 A WorldSet is a finite, ordered family of worlds over one shared domain,
 constant map (constants are rigid designators) and set of predicate
-symbols.  It adopts the worlds it is given, without copying them, and
-each member points back to its one set.  Accessibility is total, so box
-and diamond quantify over every member.  Modal notions that are defined
-against "all" extensionalization functions are evaluated relative to
-the set, which is the only finite reading; every report therefore
-carries the member count.
+symbols.  A set built from World objects (a world-set file, a lone
+world) adopts them, without copying, and each member points back to
+its one set.  An enumerated set (`enumerate_worlds`) stores no member:
+it keeps each predicate's candidate relations and builds member i, a
+view, when it is asked for.  Accessibility is total, so box and diamond
+quantify over every member.  Modal notions that are defined against
+"all" extensionalization functions are evaluated relative to the set,
+which is the only finite reading; every report therefore carries the
+member count.
 
 Box, diamond and the two equivalences are evaluated over the whole set
 at once: `masks` maps each tuple of a concept to a world bitmask (bit i
 set iff the tuple is in the concept's extension in member i), and every
 concept kind becomes an operation on those (tuple -> bitmask) tables,
 the way a symbolic model checker evaluates a formula over a set of
-states.  `semantics.extensionalize` stays the per-world route, so the
-two can be checked against each other world by world; it memoizes in
-the set's `extensions`, so members that agree on the relations a
-concept reads compute its extension once.  A necess is the exception:
-it takes the box of its body from these tables (`WorldSet.box_extension`).
+states.  The base tables come from a scan of the members, or, for an
+enumerated set, in closed form, so no member is built.
+`semantics.extensionalize` stays the per-world route, so the two can be
+checked against each other world by world; it memoizes in the set's
+`extensions`, so members that agree on the relations a concept reads
+compute its extension once.  A necess is the exception: it takes the
+box of its body from these tables (`WorldSet.box_extension`).  The
+reference evaluator's Box and Diamond read tables of their own, which
+the set gives per check (`WorldSet.membership`).
 
 Besides explicit files, small signatures can be swept exhaustively:
 `enumerate_worlds` produces every assignment of extensions to the
@@ -28,6 +35,7 @@ stable across runs and machines.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Union
 
@@ -62,8 +70,10 @@ from .syntax import (
     Box,  # noqa: F401
     Diamond,  # noqa: F401
     Formula,
+    ID_PRED,
     PredicateSymbol,
     Signature,
+    TRUE_PRED,
     check_element_name,
     ground,
 )
@@ -94,14 +104,18 @@ class WorldSet:
     and Diamond in the reference evaluator) find its quantification
     range, so a world belongs to at most one set.  Every member is
     checked before any is adopted, so a rejected set leaves the worlds
-    as they were.
+    as they were.  Its members are the World objects themselves, so a
+    change to one is a change to the set.  `enumerate_worlds` gives an
+    `EnumeratedWorldSet` instead, whose members are built on demand.
 
     The set keeps the one extension memo of its members,
     `extensions`: extensionalize keys a result by concept id and the
     tuple sets of the relations the concept reads, so members that hold
     equal relations share it.  Beside it, the set keeps the
     world-bitmask tables of `masks`: the base relations, scanned on
-    first use, and a memo per concept id.
+    first use, and a memo per concept id.  The reference evaluator's
+    Box and Diamond read their own tables (`membership`), which last
+    one check.
     """
 
     def __init__(self, worlds: Iterable[World], name: str = "ws"):
@@ -126,22 +140,30 @@ class WorldSet:
             self._by_name[w.name] = w
         for w in members:
             w.world_set = self
-        self.name = name
         self.worlds = members
+        self._start(name, first.sorted_domain(), len(members))
+
+    def _start(self, name: str, sorted_domain: list, count: int) -> None:
+        self.name = name
+        self._sorted = sorted_domain
+        self.domain = frozenset(sorted_domain)
         #: The bitmask of every member world.
-        self.all_mask = (1 << len(members)) - 1
+        self.all_mask = (1 << count) - 1
         self.extensions: Dict[tuple, Relation] = {}
         self._base: Optional[Dict[PredicateSymbol, Masks]] = None
         self._masks: Dict[int, Masks] = {}
 
-    @property
-    def domain(self):
-        return self.worlds[0].domain
+    def sorted_domain(self) -> list:
+        return self._sorted
 
     def world(self, name: str) -> World:
         if name not in self._by_name:
             raise WorldError(f"no world named {name!r} in {self.name}")
         return self._by_name[name]
+
+    def member_name(self, i: int) -> str:
+        """The name of member i."""
+        return self.worlds[i].name
 
     def __iter__(self):
         return iter(self.worlds)
@@ -150,7 +172,20 @@ class WorldSet:
         return len(self.worlds)
 
     def __repr__(self) -> str:
-        return f"<world set {self.name}: {len(self.worlds)} worlds, |D|={len(self.domain)}>"
+        return f"<world set {self.name}: {len(self)} worlds, |D|={len(self.domain)}>"
+
+    def membership(self, pred: PredicateSymbol) -> Masks:
+        """The reference evaluator's table of pred: each row maps to the
+        bitmask of the members whose relation holds it, read from the
+        members' relations as they are now."""
+        try:
+            return _row_masks([w.pred_map[pred].tuples for w in self.worlds])
+        except KeyError:
+            missing = next(w for w in self.worlds if pred not in w.pred_map)
+            raise no_relation_error(pred, missing) from None
+
+    def _base_tables(self) -> Dict[PredicateSymbol, Masks]:
+        return _scan_base_masks(self.worlds)
 
     def box_extension(self, u: Concept) -> Relation:
         """`box_extension` over this set, for semantics' necess branch."""
@@ -162,12 +197,135 @@ class WorldSet:
         self._masks.clear()
 
 
+class EnumeratedWorldSet(WorldSet):
+    """Every world over a signature and domain, in `enumerate_worlds`'
+    order, kept as each predicate's candidate relations and the index
+    arithmetic that picks them: member i holds, for each predicate, the
+    candidate whose index is the bits of i at that predicate's place
+    (the last predicate's are the least significant).
+
+    No member is stored.  Indexing, iteration and `world(name)` build
+    member i when it is asked for, named w<i> and adopted by the set.
+    A member is a view: changing it does not change the set, and the
+    next request builds it afresh.  The base tables of `masks` are
+    built in closed form and `membership` from the candidate
+    relations, so the modal layer and the reference's Box and Diamond
+    build no member.
+    """
+
+    def __init__(self, elems: list, consts: Dict[str, DomainElement], layout: list, name: str):
+        #: per predicate, in (name, arity) order: its candidate tuples,
+        #: its candidate relations indexed by bitmask over those tuples,
+        #: and the position of that bitmask in a member index
+        self._layout = layout
+        self._consts = consts
+        self._periods: Dict[PredicateSymbol, Masks] = {}
+        self.worlds = _Members(self, 1 << sum(len(ts) for _, ts, _, _ in layout))
+        self._start(name, elems, len(self.worlds))
+
+    def member(self, i: int) -> World:
+        """Build member i, a fresh World over the candidate relations."""
+        w = World(f"w{i}", self.domain, self._consts, {
+            p: cands[i >> shift & len(cands) - 1] for p, _, cands, shift in self._layout
+        })
+        w.world_set = self
+        return w
+
+    def world(self, name: str) -> World:
+        i = name[1:]
+        if name[:1] == "w" and i.isdecimal() and str(int(i)) == i and int(i) < len(self):
+            return self.member(int(i))
+        raise WorldError(f"no world named {name!r} in {self.name}")
+
+    def member_name(self, i: int) -> str:
+        return f"w{i}"
+
+    def membership(self, pred: PredicateSymbol) -> Masks:
+        """The reference evaluator's table of pred, from its candidate
+        relations: one period (each candidate once, over the run of
+        members that holds it), read from them on first use and kept,
+        since a candidate never changes, then replicated over the
+        members."""
+        entry = next((e for e in self._layout if e[0] == pred), None)
+        if entry is None:
+            raise no_relation_error(pred, self.worlds[0])
+        _, _, cands, shift = entry
+        period = self._periods.get(pred)
+        if period is None:
+            period = self._periods[pred] = _row_masks([r.tuples for r in cands], 1 << shift)
+        width, count = len(cands) << shift, len(self)
+        return {t: _replicate(m, width, count) for t, m in period.items()}
+
+    def _base_tables(self) -> Dict[PredicateSymbol, Masks]:
+        """Each base table in closed form: tuple j of a predicate is in
+        member i iff bit j of its candidate index is, a periodic
+        pattern; `==` and `true` hold in every member."""
+        count, full = len(self), self.all_mask
+        out = {
+            p: {t: _replicate(((1 << (1 << b)) - 1) << (1 << b), 2 << b, count)
+                for b, t in enumerate(ts, shift)}
+            for p, ts, _, shift in self._layout
+        }
+        out[ID_PRED] = {(e, e): full for e in self._sorted}
+        out[TRUE_PRED] = {(): full}
+        return out
+
+
+class _Members(Sequence):
+    """The members of an EnumeratedWorldSet, each built on demand."""
+
+    def __init__(self, ws: EnumeratedWorldSet, count: int):
+        self._ws = ws
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> World:
+        if not -self._count <= i < self._count:
+            raise IndexError("world index out of range")
+        return self._ws.member(i % self._count)
+
+    def __iter__(self):
+        return map(self._ws.member, range(self._count))
+
+
+def _replicate(m: int, width: int, count: int) -> int:
+    """m, a pattern over the first `width` members, repeated over all
+    `count` of them (both powers of two)."""
+    while width < count:
+        m |= m << width
+        width <<= 1
+    return m
+
+
+def _row_masks(tuple_sets: list, stride: int = 1) -> Masks:
+    """A (tuple -> bitmask) table over a list of tuple sets: the i-th
+    holds a tuple in the `stride` bits from i * stride on (stride a
+    power of two).  Bits are gathered in byte arrays and converted once
+    per tuple, so the gathering costs no big-int arithmetic."""
+    nbytes = (len(tuple_sets) * stride + 7) // 8
+    ones = b"\xff" * (stride >> 3)
+    rows: Dict[tuple, bytearray] = {}
+    for i, tuples in enumerate(tuple_sets):
+        lo = i * stride
+        for t in tuples:
+            b = rows.get(t)
+            if b is None:
+                b = rows[t] = bytearray(nbytes)
+            if ones:
+                b[lo >> 3:(lo + stride) >> 3] = ones
+            else:
+                b[lo >> 3] |= (1 << stride) - 1 << (lo & 7)
+    return {t: int.from_bytes(b, "little") for t, b in rows.items()}
+
+
 def enumerate_worlds(
     sig: Signature,
     domain: Iterable,
     const_map: Optional[Dict[str, Union[str, DomainElement]]] = None,
     limit: int = DEFAULT_LIMIT,
-) -> WorldSet:
+) -> EnumeratedWorldSet:
     """Every assignment of extensions to the declared predicates over
     the given domain, in a canonical deterministic order.
 
@@ -180,9 +338,11 @@ def enumerate_worlds(
     Constants are not guessed: a signature with constants needs an
     explicit const_map (element names or elements), shared by every
     world, that names only declared constants.  Each predicate's
-    candidate relations are built once and shared by the worlds that
-    have them; the worlds share one element-name table, as all worlds
-    over the same named domain do.
+    candidate relations are built once, and the set keeps only those:
+    it builds a member when one is asked for (`EnumeratedWorldSet`), so
+    the limit bounds the work of a sweep, not the memory the set holds.
+    Members share the candidate relations and one element-name table,
+    as all worlds over the same named domain do.
     """
     elems = []
     seen = set()
@@ -223,21 +383,18 @@ def enumerate_worlds(
             f"enumeration would produce {count} worlds, over the limit {limit}"
         )
 
-    # each predicate's 2^n candidate relations, indexed by bitmask and
-    # shared by every world that has them
-    candidates = [
-        [
+    # each predicate's 2^n candidate relations, indexed by bitmask, and
+    # the position of that bitmask in a member index
+    layout = []
+    shift = total_bits
+    for p, ts in zip(preds, tuple_lists):
+        shift -= len(ts)
+        cands = [
             rel(p.arity, [ts[i] for i in range(len(ts)) if mask >> i & 1])
             for mask in range(1 << len(ts))
         ]
-        for p, ts in zip(preds, tuple_lists)
-    ]
-    dom = frozenset(elems)
-    worlds = [
-        World(f"w{idx}", dom, consts, dict(zip(preds, rels)))
-        for idx, rels in enumerate(itertools.product(*candidates))
-    ]
-    return WorldSet(worlds, name=f"enum{len(worlds)}")
+        layout.append((p, ts, cands, shift))
+    return EnumeratedWorldSet(elems, consts, layout, name=f"enum{count}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +423,20 @@ def montague_intension(f: Formula, ws: WorldSet) -> Intension:
 
 def _base_masks(ws: WorldSet) -> Dict[PredicateSymbol, Masks]:
     """Every member's base relations, the reserved `==` and `true`
-    among them, as (tuple -> bitmask) tables, from one scan of the
-    pred_maps.  Bits are gathered in byte arrays and converted once
-    per tuple, so the scan costs no big-int arithmetic."""
+    among them, as (tuple -> bitmask) tables, built on first use: by a
+    scan of the members, or in closed form for an enumerated set."""
     if ws._base is None:
-        nbytes = (len(ws.worlds) + 7) // 8
-        bits: Dict[PredicateSymbol, Dict[tuple, bytearray]] = {}
-        for i, w in enumerate(ws.worlds):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for p, r in w.pred_map.items():
-                table = bits.setdefault(p, {})
-                for t in r.tuples:
-                    b = table.get(t)
-                    if b is None:
-                        b = table[t] = bytearray(nbytes)
-                    b[byte] |= bit
-        ws._base = {
-            p: {t: int.from_bytes(b, "little") for t, b in table.items()}
-            for p, table in bits.items()
-        }
+        ws._base = ws._base_tables()
     return ws._base
+
+
+def _scan_base_masks(members: Iterable[World]) -> Dict[PredicateSymbol, Masks]:
+    """The base tables from a scan of the members' pred_maps."""
+    members = list(members)
+    return {
+        p: _row_masks([w.pred_map[p].tuples for w in members])
+        for p in members[0].pred_map
+    }
 
 
 def masks(u: Concept, ws: WorldSet) -> Masks:
@@ -317,7 +468,7 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
         out = _join_masks(left, right, u.s, u.subs[0].degree, u.subs[1].degree)
     elif kind == "neg":
         sub = masks(u.subs[0], ws)
-        dom = ws.worlds[0].sorted_domain()
+        dom = ws.sorted_domain()
         for t in itertools.product(dom, repeat=u.degree):
             m = full & ~sub.get(t, 0)
             if m:
@@ -443,7 +594,7 @@ def strong_equiv(
     u1, u2 = _grounded_concepts(t1, t2, g, ws)
     same = u1 is u2
     if u1.degree != u2.degree:
-        return EquivReport(False, "strong", same, len(ws), ws.worlds[0].name)
+        return EquivReport(False, "strong", same, len(ws), ws.member_name(0))
     m1, m2 = masks(u1, ws), masks(u2, ws)
     diffs = {t: m1.get(t, 0) ^ m2.get(t, 0) for t in m1.keys() | m2.keys()}
     anywhere = 0
@@ -453,7 +604,7 @@ def strong_equiv(
         return EquivReport(True, "strong", same, len(ws))
     i = (anywhere & -anywhere).bit_length() - 1
     row = min((t for t, d in diffs.items() if d >> i & 1), key=tuple_key)
-    return EquivReport(False, "strong", same, len(ws), ws.worlds[i].name, row)
+    return EquivReport(False, "strong", same, len(ws), ws.member_name(i), row)
 
 
 def weak_equiv(

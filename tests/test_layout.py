@@ -228,3 +228,23 @@ def test_formula_or_term_text_is_told_apart_in_one_place():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert len(offenders) == 1, offenders
+
+
+def test_the_reference_never_reads_the_compiled_routes_tables():
+    # the reference's Box and Diamond take their tables from the world
+    # set's members or candidate relations; reading the bitmask tables
+    # of the compiled route would hide a bug in them from the diagram
+    compiled = {"_base", "_base_masks", "_masks", "masks"}
+    offenders = []
+    for node in ast.walk(ast.parse((SRC / "semantics.py").read_text(encoding="utf-8"))):
+        names = {
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+            getattr(node, "arg", None),
+        }
+        if isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[-1])
+        if names & compiled:
+            offenders.append(f"semantics.py:{getattr(node, 'lineno', '?')}")
+    assert offenders == []

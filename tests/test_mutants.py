@@ -153,19 +153,36 @@ def exists_quantifies_the_wrong_slot(mp):
     mp.setattr(semantics, "exists", lambda n, u: exists(n % u.degree + 1 if n else n, u))
 
 
+def corrupt_each_member(mp, ws, corrupt):
+    """An enumerated set builds each member when it is asked for, so a
+    mutant that corrupts members corrupts each one as it is built."""
+    build = ws.member
+
+    def corrupted(i):
+        w = build(i)
+        corrupt(w)
+        return w
+
+    mp.setattr(ws, "member", corrupted)
+
+
 def memo_key_ignores_the_relations(mp):
-    for w in corpus_worlds():
-        mp.setattr(w, "_relations", dict.fromkeys(w._relations))
+    def corrupt(w):
+        w._relations = dict.fromkeys(w._relations)
+
+    corrupt_each_member(mp, corpus_worlds(), corrupt)
 
 
 def identity_relation_drops_a_pair(mp):
     # caught because the reference decides `==` by element equality,
     # not through the relation the world carries
-    for w in corpus_worlds():
+    def corrupt(w):
         ident = w.pred_map[ID_PRED]
         wrong = ident._replace(tuples=ident.tuples - set(ident.sorted_tuples()[:1]))
-        mp.setitem(w.pred_map, ID_PRED, wrong)
-        mp.setitem(w._relations, ID_PRED, wrong.tuples)
+        w.pred_map[ID_PRED] = wrong
+        w._relations[ID_PRED] = wrong.tuples
+
+    corrupt_each_member(mp, corpus_worlds(), corrupt)
 
 
 def union_drops_a_member(mp):

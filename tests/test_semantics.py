@@ -703,14 +703,14 @@ class TestSharedWork:
             one = len(w.pred_map[P].tuples) == 1
             assert eval_formula(got["f"], w).as_bool() == one
 
-    @pytest.mark.xfail(strict=True, reason="tarski_satisfied walks the desugared "
-                       "tree, not the DAG (ROADMAP items 1 and 10)")
+    @pytest.mark.xfail(strict=True, reason="the reference walk (_holds) walks the "
+                       "desugared tree, not the DAG (ROADMAP items 1 and 10)")
     def test_iff_chain_reference_in_linear_time(self, monkeypatch):
         w = load_world(self.WORLD, SIG_P)
         f = self.chain(24)
         with monkeypatch.context() as m:
             # one call per formula node: 8 per link, and the first p(x)
-            counting(m, semantics, "tarski_satisfied", 8 * 24 + 1)
+            counting(m, semantics, "_holds", 8 * 24 + 1)
             err = error_of(lambda: tarski_satisfied(f, {"x": A}, w))
         assert err is None
 
@@ -825,6 +825,25 @@ class TestCheckDiagram:
         report = check_diagram(f, w)
         assert not report.ok
         assert report.witness == (B,)
+
+    def test_modal_check_reads_the_members_relations_afresh(self):
+        # Box and Diamond take their table from the members' relations
+        # once per check, so a member changed after a check changes the
+        # next check's answer
+        ws = load_world_set(
+            "worlds\ndomain a b\nconst c = a\nconst d = b\n"
+            "world m0\nrel p/1 = (a)\nrel q/2 =\nrel r/2 =\n"
+            "world m1\nrel p/1 = (a) (b)\nrel q/2 =\nrel r/2 =\n",
+            SIG,
+        )
+        m0, m1 = ws.worlds
+        box, diamond = Box(parse("p(x)")), Diamond(parse("p(x) & ~p(c)"))
+        assert tarski_eval(box, m0).tuples == {(A,)}
+        assert tarski_eval(diamond, m0).tuples == set()
+        m1.pred_map[P] = rel(1, [(B,)])
+        assert tarski_eval(box, m0).tuples == set()
+        assert tarski_eval(diamond, m0).tuples == {(B,)}
+        assert not tarski_satisfied(box, {"x": A}, m1)
 
 
 class TestDeepNesting:

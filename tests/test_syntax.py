@@ -351,6 +351,15 @@ class TestSubstitute:
         f = P("exists x . (p(x) & exists x . q(x,x))")
         assert substitute(f, {"x": Variable("z")}) == f
 
+    @pytest.mark.parametrize("modal", [Box, Diamond], ids=["box", "diamond"])
+    def test_modal_body_substituted_as_under_a_negation(self, modal):
+        f = modal(P("exists y . q(x, y) & p(x)"))
+        assert substitute(f, {"x": Constant("c")}) == modal(P("exists y . q(c, y) & p(c)"))
+        assert ground(f, {"x": A}) == modal(P("exists y . q(#a, y) & p(#a)"))
+        assert ground(Neg(f), {"x": A}) == Neg(ground(f, {"x": A}))
+        with pytest.raises(CaptureError):
+            substitute(f, {"x": Variable("y")})
+
     def test_abstraction_beta_recomputed(self):
         f = P("p(<< q(x,y) >>_{x}^{y})")
         out = substitute(f, {"y": elem_term(B)})

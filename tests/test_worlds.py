@@ -7,12 +7,15 @@ w2 {(b)}, w3 {(a), (b)}.
 """
 import functools
 import itertools
+import random
 import re
 
 import pytest
+from conftest import counting
 from hypothesis import given, settings, strategies as st
+from test_acceptance import MODAL_POOL
 
-from intlog import semantics
+from intlog import semantics, worlds
 from intlog.concepts import (
     TRUTH_CONCEPT,
     atom_concept,
@@ -37,6 +40,7 @@ from intlog.semantics import (
     SemanticsError,
     World,
     WorldError,
+    check_diagram,
     check_tarski_constraint,
     extensionalize,
     extensionalize_nomemo,
@@ -55,6 +59,7 @@ from intlog.syntax import (
     Neg,
     PredicateSymbol,
     Variable,
+    format_formula,
     free_vars,
     make_signature,
     parse_formula,
@@ -184,6 +189,175 @@ class TestEnumerate:
         table = ws64.worlds[0].element_names
         assert table == {"a": A, "b": B}
         assert all(w.element_names is table for w in ws64)
+
+
+def _file_copy(ws, sig):
+    """The same worlds read back from a world-set file: a set whose
+    members are stored World objects."""
+    return load_world_set(write_world_set(ws), sig)
+
+
+#: Enumerations of at most 2^12 worlds: signature, domain, constants.
+BASE_TABLE_SETS = {
+    "corpus-a": (SIG_PQ, ["a"], None),
+    "corpus-ab": (SIG_PQ, ["a", "b"], None),
+    "corpus-abc": (SIG_PQ, ["a", "b", "c"], None),
+    "zero-ary": (make_signature(preds=[("t", 0), ("p", 1), ("q", 2)]), ["a", "b"], None),
+    "constants": (
+        make_signature(preds=[("p", 1), ("q", 2)], consts=["c", "d"]),
+        ["a", "b", "c"],
+        {"c": "b", "d": "c"},
+    ),
+}
+
+
+class TestEnumeratedMembers:
+    """An enumerated set keeps its candidate relations and builds each
+    member when one is asked for; a member is a view."""
+
+    def test_changing_a_member_does_not_change_the_set(self):
+        ws = enumerate_worlds(SIG_PQ, ["a", "b"])
+        w = ws.worlds[16]
+        assert w.world_set is ws and w.name == "w16"
+        w.pred_map[P] = rel(1, [(A,), (B,)])
+        again = ws.worlds[16]
+        assert again is not w
+        assert again.pred_map[P] == rel(1, [(A,)])
+        # holds in w16 alone: the member's own relations now fail it,
+        # while Diamond reads the set, which the change did not touch
+        only_w16 = parse_formula("p(#a) & ~p(#b) & ~exists x . exists y . q(x, y)", SIG_PQ)
+        assert not tarski_satisfied(only_w16, {}, w)
+        assert tarski_satisfied(only_w16, {}, again)
+        assert satisfies(ws, w, {}, Diamond(only_w16))
+        assert masks(interpret(only_w16), ws) == {(): 1 << 16}
+
+    def test_indexing_and_names(self, ws64):
+        assert len(ws64.worlds) == 64
+        assert ws64.worlds[-1].name == "w63"
+        assert [w.name for w in ws64.worlds][2:5] == ["w2", "w3", "w4"]
+        assert ws64.world("w17").pred_map == ws64.worlds[17].pred_map
+        assert ws64.world("w0").world_set is ws64
+        assert [ws64.member_name(i) for i in (0, 63)] == ["w0", "w63"]
+        with pytest.raises(IndexError):
+            ws64.worlds[64]
+        for name in ("w64", "w01", "w-1", "w", "x1", "w\u0663", " w1"):
+            with pytest.raises(WorldError, match="^no world named"):
+                ws64.world(name)
+
+    @pytest.mark.parametrize("case", BASE_TABLE_SETS.values(), ids=BASE_TABLE_SETS.keys())
+    def test_closed_form_base_tables_equal_a_member_scan(self, case):
+        ws = enumerate_worlds(*case)
+        closed = worlds._base_masks(ws)
+        assert closed == worlds._scan_base_masks(ws.worlds)
+        assert closed[ID_PRED] == {(e, e): ws.all_mask for e in ws.sorted_domain()}
+        assert closed[TRUE_PRED] == {(): ws.all_mask}
+
+    @pytest.mark.parametrize("case", BASE_TABLE_SETS.values(), ids=BASE_TABLE_SETS.keys())
+    def test_reference_tables_equal_those_of_a_file_copy(self, case):
+        sig = case[0]
+        ws = enumerate_worlds(*case)
+        copy = _file_copy(ws, sig)
+        for name, arity in sig.preds:
+            p = PredicateSymbol(name, arity)
+            assert ws.membership(p) == copy.membership(p)
+        with pytest.raises(SemanticsError, match="^predicate zz/1 has no relation in world w0$"):
+            ws.membership(PredicateSymbol("zz", 1))
+
+
+def _nested_modal_formulas(pool, count, seed):
+    """count formulas, each a pool formula under one to four levels of
+    random modal nesting, mixed with negation, conjunction with another
+    pool formula and quantification."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        f = rng.choice(pool)
+        for _ in range(rng.randint(1, 4)):
+            modal, g = rng.choice((Box, Diamond)), rng.choice(pool)
+            f = rng.choice((
+                lambda: modal(f),
+                lambda: Neg(modal(f)),
+                lambda: Conj(g, modal(f)),
+                lambda: modal(Conj(f, Neg(g))),
+                lambda: Exists(rng.choice(f.fv or ("x",)), modal(f)),
+            ))()
+        out.append(f)
+    return out
+
+
+class TestReferenceOverTheSet:
+    """Box and Diamond evaluate their body over the whole set at once,
+    from tables taken from the candidate relations of an enumeration or
+    from the members' relations of a set read from a file."""
+
+    POOL = [parse_formula(t, SIG_PQ) for t in MODAL_POOL]
+
+    def test_enumerated_set_agrees_with_its_file_copy(self):
+        ws = enumerate_worlds(SIG_PQ, ["a", "b"])
+        copy = _file_copy(ws, SIG_PQ)
+        formulas = [Box(f) for f in self.POOL] + [Diamond(f) for f in self.POOL]
+        formulas += _nested_modal_formulas(self.POOL, 40, seed=18)
+        for w, v in zip(ws, copy):
+            assert w.name == v.name
+            for f in formulas:
+                assert tarski_eval(f, w) == tarski_eval(f, v), (format_formula(f), w.name)
+
+    def test_nested_modal_formulas_commute_with_the_compiled_route(self):
+        ws = enumerate_worlds(SIG_PQ, ["a", "b"])
+        for f in _nested_modal_formulas(self.POOL, 40, seed=18):
+            for w in ws:
+                assert check_diagram(f, w).ok, (format_formula(f), w.name)
+
+    def test_grounding_constraint_under_box_and_diamond(self, ws64):
+        checked = 0
+        for w in ws64:
+            dom = w.sorted_domain()
+            for f in self.POOL:
+                for mf in (Box(f), Diamond(f)):
+                    for combo in itertools.product(dom, repeat=len(mf.fv)):
+                        g = dict(zip(mf.fv, combo))
+                        assert check_tarski_constraint(mf, g, w), (format_formula(mf), g, w.name)
+                        checked += 1
+        assert checked == 64 * 2 * sum(2 ** len(f.fv) for f in self.POOL)
+        px = parse_formula("p(x)", SIG_PQ)
+        w = ws64.worlds[63]
+        assert not tarski_satisfied(Box(px), {"x": A}, w)
+        assert check_tarski_constraint(Box(px), {"x": A}, w)
+
+
+class TestNoMemberBuilt:
+    """Over an enumeration the modal layer and the reference's Box and
+    Diamond read tables, not members: a call builds at most one World."""
+
+    SIG16 = make_signature(preds=[("p", 1), ("q", 2), ("r", 1), ("t", 0)])
+
+    def test_modal_calls_build_at_most_one_world(self, monkeypatch):
+        ws = enumerate_worlds(self.SIG16, ["a", "b", "c"])
+        assert len(ws) == 1 << 16
+        w = ws.worlds[40_000]
+        f = functools.partial(parse_formula, sig=self.SIG16)
+        term = functools.partial(parse_term, sig=self.SIG16)
+        px = f("p(x)")
+        both = term("<< q(x, y) & p(x) >>_{x,y}"), term("<< p(x) & q(x, y) >>_{x,y}")
+        p_r = term("<< p(x) >>_{x}"), term("<< r(x) >>_{x}")
+        calls = [
+            (lambda: box_extension(interpret(px), ws), rel(1, [])),
+            (lambda: diamond_extension(interpret(px), ws), rel(1, [(e,) for e in ws.domain])),
+            (lambda: extensionalize(necess(interpret(f("q(x, y) | ~q(x, y)"))), w).arity, 2),
+            (lambda: bool(strong_equiv(*both, {}, ws)), True),
+            (lambda: bool(weak_equiv(*both, {}, ws)), True),
+            (lambda: str(strong_equiv(*p_r, {}, ws)),
+             "not equivalent (strong) (witness: world w2, tuple (a)) [relative to 65536 worlds]"),
+            (lambda: bool(weak_equiv(*p_r, {}, ws)), True),
+            (lambda: satisfies(ws, w, {"x": A}, Box(px)), False),
+            (lambda: satisfies(ws, w, {"x": A}, Box(f("p(x) | ~p(x)"))), True),
+            (lambda: satisfies(ws, w, {"x": A}, Diamond(f("q(x, x) & r(x) & t"))), True),
+            (lambda: satisfies(ws, w, {}, Box(f("exists x . ~p(x) | ~t"))), False),
+        ]
+        for i, (call, want) in enumerate(calls):
+            with monkeypatch.context() as m:
+                counting(m, World, "__init__", 1)
+                assert call() == want, i
 
 
 class TestWorldSet:
@@ -889,10 +1063,12 @@ class TestWorldBitmasks:
         # the negated body (the tuples in no member) is checked too.
         ws = _ws_pq_abc()
         body = data.draw(concepts(ws, necess_ok=False))
-        w = data.draw(st.sampled_from(ws.worlds))
+        # the set builds a member each time one is asked for: build each once
+        members = list(ws.worlds)
+        w = data.draw(st.sampled_from(members))
         for u in (body, neg(body)) if body.degree <= 3 else (body,):
             want = frozenset.intersection(
-                *(extensionalize_nomemo(u, w2).tuples for w2 in ws.worlds)
+                *(extensionalize_nomemo(u, w2).tuples for w2 in members)
             )
             assert extensionalize(necess(u), w) == rel(u.degree, want)
 
