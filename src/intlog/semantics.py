@@ -4,8 +4,8 @@ Step one is world-independent: `interpret` compiles a formula to a
 concept, homomorphically (conjunction goes to a join-style conj whose
 index pairs come from the two free-variable tuples, negation to neg,
 an existential to exists_n where n is the position of the variable
-in the body's free tuple, or 0 when it is not free, Box to necess and
-Diamond to neg(necess(neg))).  Step two is
+in the body's free tuple, or 0 when it is not free, and Box to necess;
+Diamond is `~Box~`, so it reaches neg(necess(neg))).  Step two is
 `extensionalize`: each world maps concepts to relations through the
 relational algebra.  A concept's extension depends only on the
 world's relations for the predicates it reads (and the domain), so the
@@ -20,11 +20,11 @@ algebra, and `assignment_extend` resolves constants and element
 literals itself, not through the compiled route's `_term_element`.  So
 `check_diagram` compares two separate evaluators.  The reference walk's
 value is a bitmask of worlds: one bit for the world asked about, and
-one bit per member of its set below a Box or Diamond, whose body is
-walked once over the whole set from tables the set gives for that check
-alone, never from the compiled route's bitmask tables.  Besides the syntax
-layer, the reference calls `interpret` only to name the concept that an
-abstraction argument reifies.
+one bit per member of its set below a Box (Diamond is `~Box~`), whose
+body is walked once over the whole set from tables the set gives for
+that check alone, never from the compiled route's bitmask tables.
+Besides the syntax layer, the reference calls `interpret` only to name
+the concept that an abstraction argument reifies.
 
 Abstraction terms: `interpret` is one map from formulas and
 abstraction terms alike to concepts.  It maps << f >>_{a}^{b} to the
@@ -79,7 +79,6 @@ from .syntax import (
     Box,
     Conj,
     Constant,
-    Diamond,
     ElemTerm,
     Exists,
     Formula,
@@ -89,6 +88,7 @@ from .syntax import (
     TRUE_PRED,
     Term,
     Variable,
+    format_formula,
     ground,
 )
 
@@ -245,8 +245,6 @@ def _compile(f: Formula, w: Optional[World], done: dict) -> Concept:
         out = exists(fv.index(f.var) + 1 if f.var in fv else 0, _compile(f.sub, w, done))
     elif isinstance(f, Box):
         out = necess(_compile(f.sub, w, done))
-    elif isinstance(f, Diamond):
-        out = neg(necess(neg(_compile(f.sub, w, done))))
     else:
         raise SemanticsError(f"not a formula: {f!r}")
     done[id(f)] = out
@@ -383,10 +381,11 @@ def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
     relational machinery (atoms are decided by tuple membership; `==` is
     element equality and `true` holds, whatever relations w carries).
 
-    Box and Diamond range over every world of w's world set (total
-    accessibility), so they need a world that belongs to one.  Each
-    is one walk of its body over the whole set at once, from tables
-    the set gives for this check alone (`WorldSet.membership`).
+    Box ranges over every world of w's world set (total
+    accessibility), so it needs a world that belongs to one; Diamond is
+    `~Box~`.  A Box is one walk of its body over the whole set at once,
+    from tables the set gives for this check alone
+    (`WorldSet.membership`).
     """
     return _holds(f, g, w, 1, {}) == 1
 
@@ -394,11 +393,13 @@ def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
 def _holds(f: Formula, g: Assignment, w: World, sel: int, tables: dict) -> int:
     """The reference walk: the bitmask of the worlds in sel where f
     holds under g.  sel is 1, the world w alone, whose own relations
-    decide an atom; or the bitmask of every member of w's set (a Box or
-    Diamond body), whose shared domain and rigid constants are read off
-    w and where an atom reads its predicate's (row -> member bitmask)
-    table, asked of the set once per check and kept in tables.  A set
-    of one member is w itself, so sel 1 is exact for it too."""
+    decide an atom; or the bitmask of every member of w's set (a Box
+    body), whose shared domain and rigid constants are read off w and
+    where an atom reads its predicate's (row -> member bitmask) table,
+    asked of the set once per check and kept in tables.  A Box holds in
+    all of sel if its body holds in every member, else in none; Diamond
+    is `~Box~`, so it needs no case of its own.  A set of one member is
+    w itself, so sel 1 is exact for it too."""
     if isinstance(f, Atom):
         if f.pred == TRUE_PRED:
             return sel
@@ -429,23 +430,19 @@ def _holds(f: Formula, g: Assignment, w: World, sel: int, tables: dict) -> int:
             if out == sel:
                 break
         return out
-    if isinstance(f, (Box, Diamond)):
+    if isinstance(f, Box):
         ws = w.world_set
         if ws is None:
-            raise SemanticsError(
-                "box and diamond need a world that belongs to a world set"
-            )
-        m = _holds(f.sub, g, w, ws.all_mask, tables)
-        holds = m == ws.all_mask if isinstance(f, Box) else m != 0
-        return sel if holds else 0
+            raise SemanticsError("box needs a world that belongs to a world set")
+        return sel if _holds(f.sub, g, w, ws.all_mask, tables) == ws.all_mask else 0
     raise SemanticsError(f"not a formula: {f!r}")
 
 
 def tarski_eval(f: Formula, w: World) -> Relation:
     """Brute-force evaluation: enumerate assignments over the free
     variables and collect the satisfying tuples.  Closed formulas give
-    an arity-0 truth value.  The assignments are one check, so Box and
-    Diamond ask the set for each table once."""
+    an arity-0 truth value.  The assignments are one check, so a Box
+    asks the set for each table once."""
     fv = f.fv
     rows = set()
     tables: dict = {}
@@ -482,8 +479,6 @@ class DiagramReport:
     witness: Optional[tuple] = None
 
     def __str__(self) -> str:
-        from .syntax import format_formula
-
         head = "ok" if self.ok else "MISMATCH"
         out = f"{head}: {format_formula(self.formula)} @ {self.world}"
         if not self.ok and self.witness is not None:

@@ -17,7 +17,8 @@ BINOP ranges over one precedence table, loosest to tightest binding:
 associative.  Quantifier scope extends as far right as possible.
 Derived connectives (|, ->, <->, forall, exists1, false) are desugared
 during parsing, so a parsed formula only ever contains Atom, Conj, Neg
-and Exists nodes.
+and Exists nodes.  The one modal node, Box, has no surface syntax yet;
+`Diamond(f)` builds its dual `~Box~f`, as `mk_or` builds `|`.
 The parser rejects a formula whose desugared tree is deeper than
 MAX_DEPTH, so every recursive walk over a parsed formula fits in the
 interpreter's stack.
@@ -253,16 +254,15 @@ class Box(_SameAsSub):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Diamond(_SameAsSub):
-    """Possibility wrapper: true at w iff true at some world of w's set."""
+def Diamond(sub: Formula) -> Formula:
+    """Possibility, the dual of necessity: `~Box~sub`, true at w iff sub
+    is true at some world of w's set."""
+    return Neg(Box(Neg(sub)))
 
-    sub: "Formula"
 
-
-#: The parser only produces Atom, Conj, Neg and Exists; the modal
-#: wrappers are understood by both evaluators.
-Formula = Union[Atom, Conj, Neg, Exists, Box, Diamond]
+#: The parser only produces Atom, Conj, Neg and Exists; Box is
+#: understood by both evaluators.
+Formula = Union[Atom, Conj, Neg, Exists, Box]
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +644,7 @@ MAX_DEPTH = 300
 def _children(node) -> tuple:
     if isinstance(node, Conj):
         return (node.left, node.right)
-    if isinstance(node, (Neg, Exists, Box, Diamond)):
+    if isinstance(node, (Neg, Exists, Box)):
         return (node.sub,)
     if isinstance(node, Atom):
         return node.args
@@ -721,7 +721,7 @@ def parse_term(text: str, sig: Signature) -> Term:
 def free_vars(f: Formula) -> Tuple[str, ...]:
     """f's free variables, the `fv` it derived when it was built.  The
     cache hashes the whole tree, so the library reads `fv` instead."""
-    if not isinstance(f, (Atom, Conj, Neg, Exists, Box, Diamond)):
+    if not isinstance(f, (Atom, Conj, Neg, Exists, Box)):
         raise IntlogError(f"not a formula: {f!r}")
     return f.fv
 
@@ -786,7 +786,7 @@ def substitute(x: Union[Formula, Term], m: Mapping[str, Term]) -> Union[Formula,
             if out is None:
                 out = done[id(x)] = Conj(sub(x.left, m, done), sub(x.right, m, done))
             return out
-        if isinstance(x, (Neg, Box, Diamond)):
+        if isinstance(x, (Neg, Box)):
             return type(x)(sub(x.sub, m, done))
         if isinstance(x, (Constant, ElemTerm)):
             return x

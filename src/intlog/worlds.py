@@ -6,11 +6,11 @@ symbols.  A set built from World objects (a world-set file, a lone
 world) adopts them, without copying, and each member points back to
 its one set.  An enumerated set (`enumerate_worlds`) stores no member:
 it keeps each predicate's candidate relations and builds member i, a
-view, when it is asked for.  Accessibility is total, so box and diamond
-quantify over every member.  Modal notions that are defined against
-"all" extensionalization functions are evaluated relative to the set,
-which is the only finite reading; every report therefore carries the
-member count.
+view, when it is asked for.  Accessibility is total, so box (and
+diamond, its dual) quantify over every member.  Modal notions that are
+defined against "all" extensionalization functions are evaluated
+relative to the set, which is the only finite reading; every report
+therefore carries the member count.
 
 Box, diamond and the two equivalences are evaluated over the whole set
 at once: `masks` maps each tuple of a concept to a world bitmask (bit i
@@ -24,8 +24,9 @@ checked against each other world by world; it memoizes in the set's
 `extensions`, so members that agree on the relations a concept reads
 compute its extension once.  A necess is the exception: it takes the
 box of its body from these tables (`WorldSet.box_extension`).  The
-reference evaluator's Box and Diamond read tables of their own, which
-the set gives per check (`WorldSet.membership`).
+reference evaluator's Box reads tables of its own, which the set gives
+per check (`WorldSet.membership`); `Diamond(f)` is `~Box~f`, so both
+routes reach it through Box.
 
 Besides explicit files, small signatures can be swept exhaustively:
 `enumerate_worlds` produces every assignment of extensions to the
@@ -62,8 +63,9 @@ from .semantics import (
     no_relation_error,
     tarski_satisfied,
 )
-# Box and Diamond are defined in syntax and imported here as well,
-# next to satisfies, the one entry point that takes them.
+# Box and its dual Diamond (which builds `~Box~`) are defined in syntax
+# and imported here as well, next to satisfies, the one entry point that
+# takes them.
 from .syntax import (
     Abstraction,
     AssignmentError,
@@ -101,21 +103,21 @@ class WorldSet:
 
     The set adopts the worlds it is given: each member gets a back
     reference to the set, which is what lets a necess concept (and Box
-    and Diamond in the reference evaluator) find its quantification
-    range, so a world belongs to at most one set.  Every member is
-    checked before any is adopted, so a rejected set leaves the worlds
-    as they were.  Its members are the World objects themselves, so a
-    change to one is a change to the set.  `enumerate_worlds` gives an
+    in the reference evaluator) find its quantification range, so a
+    world belongs to at most one set.  Every member is checked before
+    any is adopted, so a rejected set leaves the worlds as they were.
+    Its members are the World objects themselves, so a change to one is
+    a change to the set.  `enumerate_worlds` gives an
     `EnumeratedWorldSet` instead, whose members are built on demand.
 
     The set keeps the one extension memo of its members,
     `extensions`: extensionalize keys a result by concept id and the
     tuple sets of the relations the concept reads, so members that hold
     equal relations share it.  Beside it, the set keeps the
-    world-bitmask tables of `masks`: the base relations, scanned on
-    first use, and a memo per concept id.  The reference evaluator's
-    Box and Diamond read their own tables (`membership`), which last
-    one check.
+    world-bitmask tables of `masks`: the base relations, built on first
+    use (`_base_masks`), and a memo per concept id.  The reference
+    evaluator's Box reads its own tables (`membership`), which last one
+    check.
     """
 
     def __init__(self, worlds: Iterable[World], name: str = "ws"):
@@ -184,8 +186,20 @@ class WorldSet:
             missing = next(w for w in self.worlds if pred not in w.pred_map)
             raise no_relation_error(pred, missing) from None
 
+    def _base_masks(self) -> Dict[PredicateSymbol, Masks]:
+        """Every member's base relations, the reserved `==` and `true`
+        among them, as (tuple -> bitmask) tables, built on first use and
+        kept until `clear_memos`."""
+        if self._base is None:
+            self._base = self._base_tables()
+        return self._base
+
     def _base_tables(self) -> Dict[PredicateSymbol, Masks]:
-        return _scan_base_masks(self.worlds)
+        """The base tables from a scan of the members' relations."""
+        return {
+            p: _row_masks([w.pred_map[p].tuples for w in self.worlds])
+            for p in self.worlds[0].pred_map
+        }
 
     def box_extension(self, u: Concept) -> Relation:
         """`box_extension` over this set, for semantics' necess branch."""
@@ -209,8 +223,8 @@ class EnumeratedWorldSet(WorldSet):
     A member is a view: changing it does not change the set, and the
     next request builds it afresh.  The base tables of `masks` are
     built in closed form and `membership` from the candidate
-    relations, so the modal layer and the reference's Box and Diamond
-    build no member.
+    relations, so the modal layer and the reference's Box build no
+    member.
     """
 
     def __init__(self, elems: list, consts: Dict[str, DomainElement], layout: list, name: str):
@@ -421,24 +435,6 @@ def montague_intension(f: Formula, ws: WorldSet) -> Intension:
 # world-set evaluation: tuple -> world bitmask
 # ---------------------------------------------------------------------------
 
-def _base_masks(ws: WorldSet) -> Dict[PredicateSymbol, Masks]:
-    """Every member's base relations, the reserved `==` and `true`
-    among them, as (tuple -> bitmask) tables, built on first use: by a
-    scan of the members, or in closed form for an enumerated set."""
-    if ws._base is None:
-        ws._base = ws._base_tables()
-    return ws._base
-
-
-def _scan_base_masks(members: Iterable[World]) -> Dict[PredicateSymbol, Masks]:
-    """The base tables from a scan of the members' pred_maps."""
-    members = list(members)
-    return {
-        p: _row_masks([w.pred_map[p].tuples for w in members])
-        for p in members[0].pred_map
-    }
-
-
 def masks(u: Concept, ws: WorldSet) -> Masks:
     """The concept's extension in every member at once: each tuple maps
     to an int whose bit i is set iff the tuple is in u's extension in
@@ -456,7 +452,7 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
     kind = u.kind
     out: Masks = {}
     if kind == "atom":
-        table = _base_masks(ws).get(u.pred)
+        table = ws._base_masks().get(u.pred)
         if table is None:
             raise no_relation_error(u.pred, ws.worlds[0])
         for row, m in table.items():
@@ -526,8 +522,8 @@ def diamond_extension(u: Concept, ws: WorldSet) -> Relation:
 
 def satisfies(ws: WorldSet, w: World, g: Assignment, f: Formula) -> bool:
     """Kripke satisfaction at a member world under a total assignment:
-    the reference evaluator, whose Box and Diamond range over every
-    world of the set (total accessibility)."""
+    the reference evaluator, whose Box ranges over every world of the
+    set (total accessibility); Diamond is `~Box~`."""
     if w.world_set is not ws:
         raise WorldError(f"world {w.name} is not a member of world set {ws.name}")
     missing = [v for v in f.fv if v not in g]

@@ -1,6 +1,7 @@
 """Module layering: no intlog module imports another one's private names
 or touches private attributes that only another module defines."""
 import ast
+import typing
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "intlog"
@@ -182,6 +183,43 @@ def test_both_evaluators_handle_exactly_the_interned_kinds():
     assert interned == {"atom", "conj", "neg", "exists", "union", "necess"}
     assert _kinds_compared(tree("semantics.py"), "_ext") == interned
     assert _kinds_compared(tree("worlds.py"), "masks") == interned
+
+
+def _classes_tested(tree, function):
+    """The names a function passes to `isinstance` as its classes."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == function):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2
+            ):
+                out.update(n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name))
+    return out
+
+
+def test_every_formula_walk_handles_exactly_the_formula_nodes():
+    # the syntax twin of the test above: a walk that misses a node kind
+    # fails only when a formula of it reaches that walk; a branch for a
+    # node no builder makes is dead (Diamond builds ~Box~, no node)
+    from intlog import syntax
+
+    def tree(name):
+        return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+    nodes = {cls.__name__ for cls in typing.get_args(syntax.Formula)}
+    assert nodes == {"Atom", "Conj", "Neg", "Exists", "Box"}
+    terms = {cls.__name__ for cls in typing.get_args(syntax.Term)}
+    for module, function in (
+        ("semantics.py", "_compile"),
+        ("semantics.py", "_holds"),
+        ("syntax.py", "_children"),
+        ("syntax.py", "substitute"),
+    ):
+        assert _classes_tested(tree(module), function) - terms == nodes, function
 
 
 def test_syntax_nodes_compare_every_field():

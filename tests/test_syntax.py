@@ -306,9 +306,10 @@ class TestFreeVars:
 
     def test_free_variables_are_derived_not_fields(self):
         # equality, hashing and repr see only a node's parts
-        for cls in (Variable, Constant, ElemTerm, Abstraction, Atom, Conj, Neg, Exists,
-                    Box, Diamond):
+        for cls in (Variable, Constant, ElemTerm, Abstraction, Atom, Conj, Neg, Exists, Box):
             assert "fv" not in {f.name for f in fields(cls)}
+        # Diamond is no node of its own: it builds its dual, ~Box~
+        assert Diamond(P("p(x)")) == Neg(Box(Neg(P("p(x)"))))
         assert [f.name for f in fields(Abstraction)] == ["body", "alpha"]
         assert repr(P("p(x)")) == (
             "Atom(pred=PredicateSymbol(name='p', arity=1), args=(Variable(name='x'),))"

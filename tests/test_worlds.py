@@ -42,6 +42,7 @@ from intlog.semantics import (
     WorldError,
     check_diagram,
     check_tarski_constraint,
+    eval_formula,
     extensionalize,
     extensionalize_nomemo,
     ground,
@@ -247,8 +248,12 @@ class TestEnumeratedMembers:
     @pytest.mark.parametrize("case", BASE_TABLE_SETS.values(), ids=BASE_TABLE_SETS.keys())
     def test_closed_form_base_tables_equal_a_member_scan(self, case):
         ws = enumerate_worlds(*case)
-        closed = worlds._base_masks(ws)
-        assert closed == worlds._scan_base_masks(ws.worlds)
+        closed = ws._base_masks()
+        members = list(ws.worlds)
+        assert closed == {
+            p: worlds._row_masks([w.pred_map[p].tuples for w in members])
+            for p in members[0].pred_map
+        }
         assert closed[ID_PRED] == {(e, e): ws.all_mask for e in ws.sorted_domain()}
         assert closed[TRUE_PRED] == {(): ws.all_mask}
 
@@ -301,6 +306,18 @@ class TestReferenceOverTheSet:
             assert w.name == v.name
             for f in formulas:
                 assert tarski_eval(f, w) == tarski_eval(f, v), (format_formula(f), w.name)
+
+    def test_diamond_holds_where_its_body_holds_in_some_member(self, ws64):
+        # Diamond builds ~Box~; the direct reading of possibility, the
+        # union of the body's extensions over the members, is the oracle
+        members = list(ws64)
+        for f in self.POOL:
+            assert interpret(Diamond(f)) is neg(necess(neg(interpret(f))))
+            some = frozenset().union(*(tarski_eval(f, m).tuples for m in members))
+            for w in members:
+                for route in (tarski_eval, eval_formula):
+                    got = route(Diamond(f), w).tuples
+                    assert got == some, (format_formula(f), w.name, route.__name__)
 
     def test_nested_modal_formulas_commute_with_the_compiled_route(self):
         ws = enumerate_worlds(SIG_PQ, ["a", "b"])
@@ -1063,13 +1080,13 @@ class TestWorldBitmasks:
         # the negated body (the tuples in no member) is checked too.
         ws = _ws_pq_abc()
         body = data.draw(concepts(ws, necess_ok=False))
-        # the set builds a member each time one is asked for: build each once
+        # the set builds a member each time one is asked for: build each
+        # once.  The members' extensions go through the set's memo, keyed
+        # by the relations a concept reads, so members share subconcepts
         members = list(ws.worlds)
         w = data.draw(st.sampled_from(members))
         for u in (body, neg(body)) if body.degree <= 3 else (body,):
-            want = frozenset.intersection(
-                *(extensionalize_nomemo(u, w2).tuples for w2 in members)
-            )
+            want = frozenset.intersection(*(extensionalize(u, w2).tuples for w2 in members))
             assert extensionalize(necess(u), w) == rel(u.degree, want)
 
     def test_box_and_diamond_read_the_masks(self, ws64):
