@@ -35,6 +35,7 @@ from .semantics import (
 from .syntax import (
     Abstraction,
     Atom,
+    Box,
     Conj,
     Constant,
     ElemTerm,
@@ -206,6 +207,8 @@ def _dump_ast(f: Formula) -> str:
         return f"(conj {_dump_ast(f.left)} {_dump_ast(f.right)})"
     if isinstance(f, Neg):
         return f"(neg {_dump_ast(f.sub)})"
+    if isinstance(f, Box):
+        return f"(box {_dump_ast(f.sub)})"
     if isinstance(f, Exists):
         return f"(exists {f.var} {_dump_ast(f.sub)})"
     raise CliError(f"cannot dump {f!r}")
@@ -430,9 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term1")
     p.add_argument("term2")
     p.add_argument("--assign", default="", help="grounds the beta variables")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strong", action="store_true", default=True)
-    mode.add_argument("--weak", action="store_true", default=False)
+    p.add_argument("--weak", action="store_true",
+                   help="compare extensions unioned over the set")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("worlds", help="world-set utilities")

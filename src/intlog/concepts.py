@@ -3,10 +3,10 @@
 A concept is an n-ary universal: degree 0 concepts are propositions,
 degree 1 properties, and so on.  Concepts are built from atomic
 predicate concepts (those of `==` and `true` among them) by conj
-(join-style conjunction), neg, exists (slot-wise quantification), the
-derived union, and necess.  They are hash-consed: structurally
-identical canonical expressions share one node, so concept identity
-is plain object identity and `cid` equality.
+(join-style conjunction), neg, exists (slot-wise quantification) and
+necess; union is derived from conj and neg.  They are hash-consed:
+structurally identical canonical expressions share one node, so
+concept identity is plain object identity and `cid` equality.
 
 The only canonicalization applied is neg(neg(u)) -> u.  In particular
 conj is not commutative and no propositional rewriting happens: two
@@ -64,7 +64,7 @@ class Concept:
     """
 
     cid: int
-    kind: str  # atom, conj, neg, exists, union, necess
+    kind: str  # atom, conj, neg, exists, necess
     degree: int
     pred: Optional[PredicateSymbol] = None
     args: Tuple[AtomArg, ...] = ()
@@ -197,10 +197,15 @@ def exists(n, u: Concept) -> Concept:
 
 
 def union_concepts(bs: Iterable[Concept]) -> Concept:
-    """Union of a non-empty set of same-degree concepts.
+    """Union of a non-empty set of same-degree concepts, built by the
+    union law as mk_or builds `|`: the complement of the all-slots join
+    of the complements, neg(conj(S, conj(S, neg(b1), neg(b2)), neg(b3))),
+    with S = {(i, i) | 1 <= i <= degree} (empty for propositions).  The
+    complements are joined pairwise in rounds, so a union of n members
+    is log2(n) joins deep and the recursive walks over it stay shallow.
 
-    Set semantics: duplicates collapse, and a singleton returns its
-    element unchanged.
+    Set semantics: duplicates collapse and members are taken in cid
+    order, so a singleton returns its element unchanged.
 
     Raises:
         DegreeError: if bs is empty or degrees are mixed.
@@ -208,18 +213,15 @@ def union_concepts(bs: Iterable[Concept]) -> Concept:
     by_cid = {u.cid: u for u in bs}
     if not by_cid:
         raise DegreeError("union over the empty set")
-    members = tuple(by_cid[c] for c in sorted(by_cid))
-    degrees = {u.degree for u in members}
+    parts = [neg(by_cid[c]) for c in sorted(by_cid)]
+    degrees = {u.degree for u in parts}
     if len(degrees) != 1:
         raise DegreeError(f"union over mixed degrees {sorted(degrees)}")
-    if len(members) == 1:
-        return members[0]
-    return _intern(
-        ("union", tuple(u.cid for u in members)),
-        kind="union",
-        degree=members[0].degree,
-        subs=members,
-    )
+    s = [(i, i) for i in range(1, parts[0].degree + 1)]
+    while len(parts) > 1:
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [conj(s, a, b) for a, b in zip(parts[::2], parts[1::2])] + odd
+    return neg(parts[0])
 
 
 def necess(u: Concept) -> Concept:
@@ -244,7 +246,8 @@ def _format_arg(a: AtomArg) -> str:
 
 def format_concept(u: Concept) -> str:
     """S-expression rendering, e.g.
-    (conj {(1,1)} (atom p1/1 _1) (neg (atom p2/1 _1)))."""
+    (conj {(1,1)} (atom p1/1 _1) (neg (atom p2/1 _1))); a union prints
+    as its expansion, (neg (conj S (neg b1) (neg b2)))."""
     if u is ID_CONCEPT:
         return "(id)"
     if u is TRUTH_CONCEPT:
@@ -261,8 +264,6 @@ def format_concept(u: Concept) -> str:
         return f"(neg {format_concept(u.subs[0])})"
     if u.kind == "exists":
         return f"(exists {u.n} {format_concept(u.subs[0])})"
-    if u.kind == "union":
-        return f"(union {' '.join(format_concept(m) for m in u.subs)})"
     if u.kind == "necess":
         return f"(necess {format_concept(u.subs[0])})"
     raise ConceptError(f"unknown concept kind {u.kind!r}")

@@ -28,9 +28,10 @@ the concept that an abstraction argument reifies.
 
 Abstraction terms: `interpret` is one map from formulas and
 abstraction terms alike to concepts.  It maps << f >>_{a}^{b} to the
-union, over all instantiations of the beta variables by domain
-elements, of the interpretation of the instantiated body; with empty
-beta it is just the interpretation of the body.  When an abstraction
+union (built by the union law from conj and neg), over all
+instantiations of the beta variables by domain elements, of the
+interpretation of the instantiated body; with empty beta it is just
+the interpretation of the body.  When an abstraction
 occurs as an argument inside a formula, `interpret` embeds its concept
 as a single reified element, while the reference evaluator resolves
 the term per assignment.  The two agree only on beta-closed arguments:
@@ -339,9 +340,6 @@ def _ext(u: Concept, w: World, memo: Dict[tuple, Relation]) -> Relation:
         r = complement(_ext(u.subs[0], w, memo), w.domain)
     elif kind == "exists":
         r = project_out(_ext(u.subs[0], w, memo), u.n)
-    elif kind == "union":
-        parts = [_ext(m_, w, memo) for m_ in u.subs]
-        r = Relation(u.degree, frozenset().union(*(p.tuples for p in parts)))
     elif kind == "necess":
         ws = w.world_set
         if ws is None:

@@ -3,7 +3,7 @@
 Grammar:
 
     formula := unary (BINOP unary)*
-    unary   := "~" unary
+    unary   := ("~" | "[]") unary
              | ("exists" | "forall" | "exists1") VAR "." formula
              | atom
              | "(" formula ")"
@@ -16,9 +16,9 @@ BINOP ranges over one precedence table, loosest to tightest binding:
 `<->`, `->`, `|`, `&`; `->` is right associative, the others left
 associative.  Quantifier scope extends as far right as possible.
 Derived connectives (|, ->, <->, forall, exists1, false) are desugared
-during parsing, so a parsed formula only ever contains Atom, Conj, Neg
-and Exists nodes.  The one modal node, Box, has no surface syntax yet;
-`Diamond(f)` builds its dual `~Box~f`, as `mk_or` builds `|`.
+during parsing, so a parsed formula only ever contains Atom, Conj, Neg,
+Exists and Box nodes.  Box, written `[]`, is the one modal node;
+`Diamond(f)` builds its dual `~[]~f`, as `mk_or` builds `|`.
 The parser rejects a formula whose desugared tree is deeper than
 MAX_DEPTH, so every recursive walk over a parsed formula fits in the
 interpreter's stack.
@@ -248,10 +248,13 @@ class Exists:
 
 @dataclass(frozen=True)
 class Box(_SameAsSub):
-    """Necessity wrapper: true at w iff true at every world of w's set.
-    Not part of the surface grammar; built programmatically."""
+    """Necessity, written `[]`: true at w iff true at every world of
+    w's set."""
 
     sub: "Formula"
+
+    def __str__(self) -> str:
+        return format_formula(self)
 
 
 def Diamond(sub: Formula) -> Formula:
@@ -260,8 +263,6 @@ def Diamond(sub: Formula) -> Formula:
     return Neg(Box(Neg(sub)))
 
 
-#: The parser only produces Atom, Conj, Neg and Exists; Box is
-#: understood by both evaluators.
 Formula = Union[Atom, Conj, Neg, Exists, Box]
 
 
@@ -357,7 +358,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<elem>\#[A-Za-z][A-Za-z0-9_]*)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<punct><->|->|<<|>>|==|_\{|\^\{|[}().,~&|])
+      | (?P<punct><->|->|<<|>>|==|_\{|\^\{|\[\]|[}().,~&|])
     """,
     re.VERBOSE,
 )
@@ -436,6 +437,8 @@ _BINARY = {
     "&": (4, 5, Conj),
 }
 
+_PREFIX = {"~": Neg, "[]": Box}
+
 _QUANTIFIERS = {"exists": Exists, "forall": mk_forall, "exists1": mk_exists_unique}
 
 
@@ -480,9 +483,9 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.value == "~":
+        if tok.value in _PREFIX:
             self.next()
-            return Neg(self.unary())
+            return _PREFIX[tok.value](self.unary())
         if tok.kind == "IDENT" and tok.value in _QUANTIFIERS:
             self.next()
             var = self.next()
@@ -862,6 +865,8 @@ def format_formula(f: Formula) -> str:
         return f"({format_formula(f.left)} & {format_formula(f.right)})"
     if isinstance(f, Neg):
         return f"~{format_formula(f.sub)}"
+    if isinstance(f, Box):
+        return f"[]{format_formula(f.sub)}"
     if isinstance(f, Exists):
         return f"(exists {f.var} . {format_formula(f.sub)})"
     raise IntlogError(f"not a formula: {f!r}")

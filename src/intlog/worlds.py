@@ -163,10 +163,6 @@ class WorldSet:
             raise WorldError(f"no world named {name!r} in {self.name}")
         return self._by_name[name]
 
-    def member_name(self, i: int) -> str:
-        """The name of member i."""
-        return self.worlds[i].name
-
     def __iter__(self):
         return iter(self.worlds)
 
@@ -250,9 +246,6 @@ class EnumeratedWorldSet(WorldSet):
         if name[:1] == "w" and i.isdecimal() and str(int(i)) == i and int(i) < len(self):
             return self.member(int(i))
         raise WorldError(f"no world named {name!r} in {self.name}")
-
-    def member_name(self, i: int) -> str:
-        return f"w{i}"
 
     def membership(self, pred: PredicateSymbol) -> Masks:
         """The reference evaluator's table of pred, from its candidate
@@ -474,10 +467,6 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
         for t, m in masks(u.subs[0], ws).items():
             rest = t[: n - 1] + t[n:]
             out[rest] = out.get(rest, 0) | m
-    elif kind == "union":
-        for member in u.subs:
-            for t, m in masks(member, ws).items():
-                out[t] = out.get(t, 0) | m
     elif kind == "necess":
         out = {t: full for t, m in masks(u.subs[0], ws).items() if m == full}
     else:
@@ -590,7 +579,7 @@ def strong_equiv(
     u1, u2 = _grounded_concepts(t1, t2, g, ws)
     same = u1 is u2
     if u1.degree != u2.degree:
-        return EquivReport(False, "strong", same, len(ws), ws.member_name(0))
+        return EquivReport(False, "strong", same, len(ws), ws.worlds[0].name)
     m1, m2 = masks(u1, ws), masks(u2, ws)
     diffs = {t: m1.get(t, 0) ^ m2.get(t, 0) for t in m1.keys() | m2.keys()}
     anywhere = 0
@@ -600,7 +589,7 @@ def strong_equiv(
         return EquivReport(True, "strong", same, len(ws))
     i = (anywhere & -anywhere).bit_length() - 1
     row = min((t for t, d in diffs.items() if d >> i & 1), key=tuple_key)
-    return EquivReport(False, "strong", same, len(ws), ws.member_name(i), row)
+    return EquivReport(False, "strong", same, len(ws), ws.worlds[i].name, row)
 
 
 def weak_equiv(

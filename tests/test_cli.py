@@ -57,6 +57,11 @@ class TestParse:
             "free (x, y)",
         ]
 
+    def test_box(self, paths, capsys):
+        code, out, _ = run(capsys, "parse", "--sig", paths["sig"], "[]~[] p(x)")
+        assert code == 0
+        assert out.splitlines()[0] == "ast (box (neg (box (atom p/1 x))))"
+
     def test_sugar_desugars(self, paths, capsys):
         code, out, _ = run(capsys, "parse", "--sig", paths["sig"], "forall x . p(x)")
         assert code == 0
@@ -183,6 +188,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--sig", paths["sig"],
                            "--worlds", paths["ws2"], "p(x)")
         assert code == 2
+
+    def test_box_needs_a_world_set(self, paths, capsys):
+        code, out, err = run(capsys, "eval", "--sig", paths["sig"],
+                             "--world", paths["w1"], "[] p(x)")
+        assert (code, out) == (2, "")
+        assert err == "error: necess needs a world that belongs to a world set\n"
 
     def test_records(self, paths, capsys):
         code, out, _ = run(capsys, "eval", "--sig", paths["sig"],
@@ -394,6 +405,35 @@ def test_empty_formulas_path_exits_2(paths, capsys):
     assert code == 2
     assert err.startswith("error: cannot read :")
     assert out == ""
+
+
+BOX_FORMULAS = """\
+[] p(x)
+~[]~q(x, y)
+[](exists y . q(x, y)) -> p(x)
+[][]p(c) | ~[]p(x)
+"""
+
+
+@pytest.mark.parametrize("command, summary", [
+    ("check-diagram", "checked 256 pairs over 64 worlds: 0 mismatches"),
+    ("check-constraint", "checked 640 groundings over 64 worlds: 0 violations"),
+])
+def test_box_formula_file_over_an_enumeration(paths, capsys, command, summary):
+    src = paths["dir"] / "box.txt"
+    src.write_text(BOX_FORMULAS)
+    code, out, _ = run(capsys, command, "--sig", paths["sig"], "--enumerate", "a,b",
+                       "--const", "c=a", "--formulas", str(src))
+    assert (code, out) == (0, summary + "\n")
+
+
+def test_box_over_a_world_file_is_over_a_set_of_one(paths, capsys):
+    # --world reads a set of one member, so there []f holds where f holds
+    src = paths["dir"] / "box.txt"
+    src.write_text(BOX_FORMULAS)
+    code, out, _ = run(capsys, "check-diagram", "--sig", paths["sig"],
+                       "--world", paths["w1"], "--formulas", str(src))
+    assert (code, out) == (0, "checked 4 pairs over 1 worlds: 0 mismatches\n")
 
 
 class TestCheckConstraint:

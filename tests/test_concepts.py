@@ -187,9 +187,10 @@ class TestFormatting:
         assert format_concept(c).startswith("(conj {(2,3),(4,1)}")
 
     def test_union_format(self):
-        s = format_concept(union_concepts([u1, u2]))
-        assert s.startswith("(union (")
-        assert "(atom p1/1 _1)" in s and "(atom p2/1 _1)" in s
+        # a union is its law's expansion, members in cid order
+        assert format_concept(union_concepts([u2, u1])) == (
+            "(neg (conj {(1,1)} (neg (atom p1/1 _1)) (neg (atom p2/1 _1))))"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -813,6 +813,15 @@ class TestCheckDiagram:
         bad = DiagramReport(False, f, "w1", rel(1, [(A,)]), rel(1, []), (A,))
         assert "MISMATCH" in str(bad) and "witness (a)" in str(bad)
 
+    def test_modal_report_rendering(self):
+        # format_formula prints Box, so a modal report, ok or not, renders
+        sig = make_signature(preds=[("p", 1)])
+        f = parse_formula("p(x)", sig)
+        for w in enumerate_worlds(sig, ["a", "b"]):
+            assert str(check_diagram(Diamond(f), w)) == f"ok: ~[]~p(x) @ {w.name}"
+        bad = DiagramReport(False, Box(f), "w3", rel(1, [(A,)]), rel(1, []), (A,))
+        assert str(bad).startswith("MISMATCH: []p(x) @ w3")
+
     def test_mismatch_detected_on_corrupted_world(self):
         # evaluate once in a member, then silently change the world
         # behind the set's memo: the stale cache makes the concept

@@ -535,6 +535,10 @@ ROUND_TRIP_CASES = [
     "p(<< q(x, y) >>_{y,x})",
     "r(x, << q(y, z) >>_{y}^{z})",
     "p(<< p(<< q(x, y) >>_{x,y}) >>_{})",
+    "[]p(x)",
+    "~[]~(p(x) & q(x, y))",
+    "[](exists x . [][]q(x, y))",
+    "p(<< []p(x) >>_{x})",
 ]
 
 
@@ -548,6 +552,16 @@ class TestPrinting:
     def test_desugared_forms_print_as_core(self):
         assert format_formula(P("p(x) | s")) == "~(~p(x) & ~s)"
         assert format_formula(P("forall x . p(x)")) == "~(exists x . ~p(x))"
+
+    def test_box_and_diamond_round_trip(self):
+        # Diamond is ~Box~, so it prints as ~[]~ and parses back to the
+        # same tree; [] binds like ~, tighter than every binary operator
+        f = Diamond(P("p(x) | s"))
+        assert str(f) == format_formula(f) == "~[]~~(~p(x) & ~s)"
+        assert P(str(f)) == f
+        assert str(Box(P("p(x)"))) == "[]p(x)"
+        assert P("[] p(x) & s") == Conj(Box(P("p(x)")), P("s"))
+        assert P("[]~[] p(x)") == Box(Neg(Box(P("p(x)"))))
 
     def test_unprintable_element(self):
         f = ground(P("p(x)"), {"x": ConceptHandle(3)})

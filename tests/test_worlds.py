@@ -21,6 +21,7 @@ from intlog.concepts import (
     atom_concept,
     conj,
     exists,
+    format_concept,
     necess,
     neg,
     union_concepts,
@@ -238,7 +239,7 @@ class TestEnumeratedMembers:
         assert [w.name for w in ws64.worlds][2:5] == ["w2", "w3", "w4"]
         assert ws64.world("w17").pred_map == ws64.worlds[17].pred_map
         assert ws64.world("w0").world_set is ws64
-        assert [ws64.member_name(i) for i in (0, 63)] == ["w0", "w63"]
+        assert [ws64.worlds[i].name for i in (0, 63)] == ["w0", "w63"]
         with pytest.raises(IndexError):
             ws64.worlds[64]
         for name in ("w64", "w01", "w-1", "w", "x1", "w\u0663", " w1"):
@@ -363,8 +364,6 @@ class TestNoMemberBuilt:
             (lambda: extensionalize(necess(interpret(f("q(x, y) | ~q(x, y)"))), w).arity, 2),
             (lambda: bool(strong_equiv(*both, {}, ws)), True),
             (lambda: bool(weak_equiv(*both, {}, ws)), True),
-            (lambda: str(strong_equiv(*p_r, {}, ws)),
-             "not equivalent (strong) (witness: world w2, tuple (a)) [relative to 65536 worlds]"),
             (lambda: bool(weak_equiv(*p_r, {}, ws)), True),
             (lambda: satisfies(ws, w, {"x": A}, Box(px)), False),
             (lambda: satisfies(ws, w, {"x": A}, Box(f("p(x) | ~p(x)"))), True),
@@ -375,6 +374,15 @@ class TestNoMemberBuilt:
             with monkeypatch.context() as m:
                 counting(m, World, "__init__", 1)
                 assert call() == want, i
+        # a failing strong check builds the anchor and then its witness
+        # member, to name it
+        with monkeypatch.context() as m:
+            built = counting(m, World, "__init__", 2)
+            assert str(strong_equiv(*p_r, {}, ws)) == (
+                "not equivalent (strong) (witness: world w2, tuple (a))"
+                " [relative to 65536 worlds]"
+            )
+            assert len(built) == 2
 
 
 class TestWorldSet:
@@ -1044,6 +1052,53 @@ def reference_weak(t1, t2, g, ws):
     ok = u1.degree == u2.degree and d1 == d2
     row = None if ok or u1.degree != u2.degree else min(d1 ^ d2, key=tuple_key)
     return EquivReport(ok, "weak", u1 is u2, len(ws), None, row)
+
+
+#: Members of a union by degree: each list repeats a member and holds
+#: one that is itself a neg.
+UNION_MEMBERS = {
+    0: ["exists x . p(x)", "~(exists x . q(x, x))", "exists x . exists y . q(x, y)",
+        "exists x . p(x)"],
+    1: ["p(x)", "~p(x)", "exists y . q(x, y)", "p(x)"],
+    2: ["q(x, y)", "~q(y, x)", "p(x) & p(y)", "q(x, y)"],
+    3: ["q(x, y) & p(z)", "~(q(x, y) & q(y, z))", "q(x, x) & q(y, z)", "q(x, y) & p(z)"],
+}
+
+
+class TestUnionLaw:
+    @pytest.mark.parametrize("degree", sorted(UNION_MEMBERS))
+    def test_union_is_the_law_expansion_in_both_algebras(self, ws64, degree):
+        bs = [interpret(parse_formula(t, SIG_PQ)) for t in UNION_MEMBERS[degree]]
+        assert len({b.cid for b in bs}) == len(bs) - 1
+        assert any(b.kind == "neg" for b in bs)
+        b1, b2, b3 = sorted(set(bs), key=lambda b: b.cid)
+        s = {(i, i) for i in range(1, degree + 1)}
+        u = union_concepts(bs)
+        assert u is union_concepts(reversed(bs)) is (
+            neg(conj(s, conj(s, neg(b1), neg(b2)), neg(b3)))
+        )
+        assert u.degree == degree
+        want = {}
+        for i, w in enumerate(ws64.worlds):
+            pieces = frozenset().union(*(extensionalize(b, w).tuples for b in bs))
+            assert extensionalize(u, w).tuples == pieces, w.name
+            for t in pieces:
+                want[t] = want.get(t, 0) | 1 << i
+        assert masks(u, ws64) == want
+        ws64.clear_memos()
+
+    def test_many_members_stay_shallow(self, ws64):
+        # the complements are joined pairwise in rounds, so 1,101 members
+        # are 11 joins deep; a chain of 1,100 joins would overflow the
+        # stack of every recursive walk over the concept
+        p = atom_concept(P, (1,))
+        bs = [p] + [atom_concept(Q, (1, ConceptHandle(i))) for i in range(1100)]
+        u = union_concepts(bs)
+        assert format_concept(u).count("(atom ") == 1101
+        for w in list(ws64.worlds)[::9]:
+            assert extensionalize(u, w).tuples == extensionalize(p, w).tuples
+        assert masks(u, ws64) == masks(p, ws64)
+        ws64.clear_memos()
 
 
 class TestWorldBitmasks:
