@@ -14,8 +14,13 @@ program (files, enumerations, tests).
 
 The per-tuple work is kept in C where it can be: a `Particular` and a
 `Relation` are plain tuples, so rows and relations hash and compare
-without Python-level methods, and `natural_join` is a hash join whose
-column getters come from a cached `join_plan`.
+without Python-level methods.  `natural_join` runs the kernel of the
+shape its cached `join_plan` gives the index pairs: an intersection
+(every column paired with itself), a semijoin (every right column
+joined) or an extension (every left column paired with itself) keeps
+rows of its inputs as they are and builds no new tuple; any other pair
+set runs a hash join, and an empty or ill-formed one the cartesian
+product.
 """
 from __future__ import annotations
 
@@ -195,11 +200,8 @@ def join_spec_ok(s, k: int, j: int) -> bool:
     return True
 
 
-def _merge_attrs(a1: Optional[tuple], a2_kept: Optional[tuple]) -> Optional[tuple]:
-    # Labels survive only when both sides have them and the merge stays
-    # duplicate-free.
-    if a1 is None or a2_kept is None:
-        return None
+def _merge_attrs(a1: tuple, a2_kept: tuple) -> Optional[tuple]:
+    # Labels survive only when the merge stays duplicate-free.
     merged = a1 + a2_kept
     if len(set(merged)) != len(merged):
         return None
@@ -209,10 +211,14 @@ def _merge_attrs(a1: Optional[tuple], a2_kept: Optional[tuple]) -> Optional[tupl
 class JoinPlan(NamedTuple):
     """How natural_join combines rows for one (s, arity1, arity2).
 
-    key1 and key2 map a left and a right row to their join key; rest2
-    maps a right row (or its labels) to the tuple of its kept columns.
+    shape names the kernel natural_join runs (see `join_plan`).  For
+    every shape, key1 and key2 map a left and a right row to their join
+    key, and rest2 maps a right row (or its labels) to the tuple of its
+    kept columns, so a hash join on key1, key2 and rest2 (as
+    `worlds._join_masks` runs) gives the join whatever the shape.
     """
 
+    shape: str
     arity: int
     key1: Callable
     key2: Callable
@@ -226,12 +232,12 @@ def _key(cols: Sequence[int]) -> Callable:
 
 
 def _columns(cols: Sequence[int]) -> Callable:
-    # row -> the tuple of its cols, whatever their number
+    # row -> the tuple of its cols, whatever their number; a one-column
+    # slice keeps a single column a tuple
     if len(cols) >= 2:
         return itemgetter(*cols)
     if cols:
-        get = itemgetter(cols[0])
-        return lambda t: (get(t),)
+        return itemgetter(slice(cols[0], cols[0] + 1))
     return _nothing
 
 
@@ -242,19 +248,64 @@ def _nothing(t) -> tuple:
 @lru_cache(maxsize=1024)
 def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
     """The plan natural_join follows for index pairs s between
-    relations of the given arities.  An empty or ill-formed s plans the
-    cartesian product: an empty key and every right column kept."""
-    if s and join_spec_ok(s, arity1, arity2):
-        pairs = sorted(s)
-        drop = {i2 for _, i2 in pairs}
+    relations of the given arities, sorted into one of five shapes:
+
+    - "intersection": s is {(i, i)} over every column of two relations
+      of equal arity; the joined rows are the common rows;
+    - "semijoin": every right column is joined, so a left row has at
+      most one partner and is kept as it is when its key is a right row;
+    - "extension": s is {(i, i)} over every left column, so a joined
+      row is the right row whose prefix is a left row;
+    - "hash": any other well-formed s;
+    - "product": an empty or ill-formed s, with an empty key and every
+      right column kept.
+    """
+    if not (s and join_spec_ok(s, arity1, arity2)):
+        # tuple() hands a row (or a label tuple) back as it is
+        return JoinPlan("product", arity1 + arity2, _nothing, _nothing, tuple)
+    arity = arity1 + arity2 - len(s)
+    if len(s) == arity2:
+        # join_spec_ok matches each right column at most once
+        if arity1 == arity2 and all(i1 == i2 for i1, i2 in s):
+            return JoinPlan("intersection", arity, tuple, tuple, _nothing)
+        left_of = {i2: i1 for i1, i2 in s}
+        probe = _columns([left_of[i] - 1 for i in range(1, arity2 + 1)])
+        return JoinPlan("semijoin", arity, probe, tuple, _nothing)
+    if s == {(i, i) for i in range(1, arity1 + 1)}:
         return JoinPlan(
-            arity1 + arity2 - len(pairs),
-            _key([i1 - 1 for i1, _ in pairs]),
-            _key([i2 - 1 for _, i2 in pairs]),
-            _columns([i - 1 for i in range(1, arity2 + 1) if i not in drop]),
+            "extension", arity, tuple, itemgetter(slice(arity1)), itemgetter(slice(arity1, None))
         )
-    # tuple() hands a row (or a label tuple) back as it is
-    return JoinPlan(arity1 + arity2, _nothing, _nothing, tuple)
+    pairs = sorted(s)
+    drop = {i2 for _, i2 in pairs}
+    return JoinPlan(
+        "hash",
+        arity,
+        _key([i1 - 1 for i1, _ in pairs]),
+        _key([i2 - 1 for _, i2 in pairs]),
+        _columns([i - 1 for i in range(1, arity2 + 1) if i not in drop]),
+    )
+
+
+def _rows_keyed_in(rows: frozenset, key: Callable, keys: frozenset) -> frozenset:
+    # the rows whose key lies in keys, each row object kept as it is,
+    # and the set itself when every row is kept
+    kept = [t for t in rows if key(t) in keys]
+    return rows if len(kept) == len(rows) else frozenset(kept)
+
+
+def _hash_join(rows1: frozenset, rows2: frozenset, plan: JoinPlan) -> frozenset:
+    # rows2 indexed by join key; each row of rows1 looks up its partners
+    key2, rest2 = plan.key2, plan.rest2
+    index: dict = {}
+    for t2 in rows2:
+        index.setdefault(key2(t2), []).append(rest2(t2))
+    key1, get = plan.key1, index.get
+    out = set()
+    add = out.add
+    for t1 in rows1:
+        for rest in get(key1(t1), ()):
+            add(t1 + rest)
+    return frozenset(out)
 
 
 def natural_join(r1: Relation, r2: Relation, s) -> Relation:
@@ -266,22 +317,24 @@ def natural_join(r1: Relation, r2: Relation, s) -> Relation:
     cartesian product.  Labels survive when both sides have them and
     the merged labels do not repeat.
 
-    A hash join: r2's rows are indexed by their join key, and each row
-    of r1 looks up its partners there.
+    The kernel follows the shape of the cached `join_plan`.  An
+    intersection, a semijoin and an extension are set operations that
+    return rows of the inputs and build no new tuple; a hash join or a
+    product builds its rows.
     """
     plan = join_plan(frozenset(s), r1.arity, r2.arity)
-    key2, rest2 = plan.key2, plan.rest2
-    index: dict = {}
-    for t2 in r2.tuples:
-        index.setdefault(key2(t2), []).append(rest2(t2))
-    key1, get = plan.key1, index.get
-    out = set()
-    add = out.add
-    for t1 in r1.tuples:
-        for rest in get(key1(t1), ()):
-            add(t1 + rest)
-    attrs = _merge_attrs(r1.attrs, rest2(r2.attrs) if r2.attrs is not None else None)
-    return Relation(plan.arity, frozenset(out), attrs)
+    shape = plan.shape
+    if shape == "intersection":
+        rows = r1.tuples & r2.tuples
+    elif shape == "semijoin":
+        rows = _rows_keyed_in(r1.tuples, plan.key1, r2.tuples)
+    elif shape == "extension":
+        rows = _rows_keyed_in(r2.tuples, plan.key2, r1.tuples)
+    else:
+        rows = _hash_join(r1.tuples, r2.tuples, plan)
+    if r1.attrs is None or r2.attrs is None:
+        return Relation(plan.arity, rows)
+    return Relation(plan.arity, rows, _merge_attrs(r1.attrs, plan.rest2(r2.attrs)))
 
 
 @lru_cache(maxsize=16)

@@ -288,7 +288,9 @@ class _Members(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i: int) -> World:
+    def __getitem__(self, i: Union[int, slice]) -> Union[World, list]:
+        if isinstance(i, slice):
+            return [self._ws.member(k) for k in range(*i.indices(self._count))]
         if not -self._count <= i < self._count:
             raise IndexError("world index out of range")
         return self._ws.member(i % self._count)

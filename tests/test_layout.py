@@ -43,6 +43,18 @@ def test_semantics_does_not_import_worlds():
     assert "intlog.worlds" not in _imported_modules(SRC / "semantics.py")
 
 
+def test_no_module_imports_gc():
+    # a saving in collector time has to come from allocating less, not
+    # from switching or tuning the collector
+    offenders = [
+        f"{path.name}: {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for module in _imported_modules(path)
+        if module == "gc" or module.startswith("gc.")
+    ]
+    assert offenders == []
+
+
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 

@@ -22,10 +22,17 @@ from types import SimpleNamespace
 import pytest
 from test_acceptance import MODAL_POOL
 
-from intlog import semantics
+from intlog import relalg, semantics
 from intlog.concepts import exists, union_concepts
 from intlog.gen import corpus_abstractions, corpus_formulas, corpus_signature
-from intlog.relalg import ConceptHandle, complement, natural_join, project_out, project_out_many
+from intlog.relalg import (
+    ConceptHandle,
+    complement,
+    join_plan,
+    natural_join,
+    project_out,
+    project_out_many,
+)
 from intlog.semantics import (
     atom_row,
     check_diagram,
@@ -135,6 +142,30 @@ def join_drops_an_index_pair(mp):
     mp.setattr(semantics, "natural_join", lambda r1, r2, s: natural_join(r1, r2, sorted(s)[1:]))
 
 
+def intersection_takes_any_covering_pairs(mp):
+    # a pair set over every column of both sides, such as the transposed
+    # {(1, 2), (2, 1)}, is planned as an intersection
+    def plan(s, k, j):
+        p = join_plan(s, k, j)
+        covers = p.shape == "semijoin" and k == j and len({i1 for i1, _ in s}) == k
+        return p._replace(shape="intersection") if covers else p
+
+    mp.setattr(relalg, "join_plan", plan)
+
+
+def semijoin_filters_the_right_rows(mp):
+    # the semijoin keeps r2's rows whose key lies in r1, as the
+    # extension does, instead of r1's rows whose key lies in r2
+    def join(r1, r2, s):
+        out = natural_join(r1, r2, s)
+        plan = join_plan(frozenset(s), r1.arity, r2.arity)
+        if plan.shape != "semijoin":
+            return out
+        return out._replace(tuples=frozenset(t for t in r2.tuples if plan.key2(t) in r1.tuples))
+
+    mp.setattr(semantics, "natural_join", join)
+
+
 def complement_leaves_out_its_least_tuple(mp):
     mp.setattr(semantics, "complement", lambda r, d: (c := complement(r, d))._replace(
         tuples=c.tuples - set(c.sorted_tuples()[:1])))
@@ -214,6 +245,8 @@ def necess_is_the_identity(mp):
 
 MUTANTS = [
     (join_drops_an_index_pair, diagram_sweep),
+    (intersection_takes_any_covering_pairs, diagram_sweep),
+    (semijoin_filters_the_right_rows, diagram_sweep),
     (complement_leaves_out_its_least_tuple, diagram_sweep),
     (project_out_removes_the_wrong_column, diagram_sweep),
     (atom_ignores_a_repeated_slot, diagram_sweep),

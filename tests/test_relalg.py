@@ -7,7 +7,7 @@ frozen into the tests have a second derivation.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intlog.relalg import (
     FALSE,
@@ -23,6 +23,7 @@ from intlog.relalg import (
     f_truth,
     format_relation,
     identity_relation,
+    join_plan,
     join_spec_ok,
     natural_join,
     project_out,
@@ -429,16 +430,16 @@ class TestRelationValue:
 elements = st.sampled_from([A, B, C])
 
 
-def relations(max_arity=3, labeled=False, prefix="c"):
-    def build(arity):
-        rows = st.frozensets(
-            st.tuples(*([elements] * arity)).map(tuple), max_size=8
-        )
-        labels = tuple(f"{prefix}{i}" for i in range(arity))
-        attrs = st.just(labels) if labeled else st.just(None)
-        return st.builds(lambda t, a: Relation(arity, t, a), rows, attrs)
+def relation_of(arity, labeled=False, prefix="c"):
+    rows = st.frozensets(st.tuples(*([elements] * arity)), max_size=8)
+    labels = tuple(f"{prefix}{i}" for i in range(arity)) if labeled else None
+    return rows.map(lambda t: Relation(arity, t, labels))
 
-    return st.integers(min_value=0, max_value=max_arity).flatmap(build)
+
+def relations(max_arity=3, labeled=False, prefix="c"):
+    return st.integers(min_value=0, max_value=max_arity).flatmap(
+        lambda arity: relation_of(arity, labeled, prefix)
+    )
 
 
 @settings(max_examples=60)
@@ -448,47 +449,101 @@ def test_complement_involution(r):
     assert complement(complement(r, dom), dom) == r
 
 
-@settings(max_examples=200)
-@given(
-    st.one_of(relations(), relations(labeled=True)),
-    # right labels either clash with the left's ("c") or do not ("d")
-    st.one_of(relations(), relations(labeled=True), relations(labeled=True, prefix="d")),
-    st.data(),
-)
-def test_join_arity_law(r1, r2, data):
-    k, j = r1.arity, r2.arity
-    well_formed = k > 0 and j > 0 and data.draw(st.booleans())
-    if well_formed:
-        n = data.draw(st.integers(min_value=1, max_value=j))
-        i2s = data.draw(st.lists(st.integers(1, j), min_size=n, max_size=n, unique=True))
-        i1s = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-        s = frozenset(zip(i1s, i2s))
-    elif k > 0 and j > 0:
-        # ill-formed: a right column matched twice, or a column out of range
-        i1, i2 = data.draw(st.integers(1, k)), data.draw(st.integers(1, j))
-        if k >= 2 and data.draw(st.booleans()):
+# the plan shape each drawn kind of index set must get
+PLANNED_SHAPE = {
+    "intersection": "intersection",
+    "semijoin": "semijoin",
+    "transposed": "semijoin",
+    "extension": "extension",
+    "general": "hash",
+    "ill-formed": "product",
+    "empty": "product",
+}
+
+
+def draw_join_spec(data, kind):
+    """Arities k and j and an index set s of the given kind."""
+    def ints(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    if kind == "intersection":
+        k = j = ints(1, 3)
+        s = {(i, i) for i in range(1, k + 1)}
+    elif kind == "transposed":
+        # every column of both sides joined, but not each to itself
+        k = j = ints(2, 3)
+        perm = data.draw(st.permutations(range(1, k + 1)).filter(lambda p: p != sorted(p)))
+        s = set(zip(perm, range(1, j + 1)))
+    elif kind == "semijoin":
+        # every right column joined, some left column left out or used twice
+        k, j = ints(1, 3), ints(1, 3)
+        left = data.draw(st.lists(st.integers(1, k), min_size=j, max_size=j))
+        assume(sorted(left) != list(range(1, k + 1)))
+        s = set(zip(left, range(1, j + 1)))
+    elif kind == "extension":
+        k = ints(1, 2)
+        j = ints(k + 1, 3)
+        s = {(i, i) for i in range(1, k + 1)}
+    elif kind == "general":
+        # some right column left out, and not the extension's pairs
+        k, j = ints(1, 3), ints(2, 3)
+        n = ints(1, j - 1)
+        right = data.draw(st.lists(st.integers(1, j), min_size=n, max_size=n, unique=True))
+        left = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        s = set(zip(left, right))
+        assume(s != {(i, i) for i in range(1, k + 1)})
+    elif kind == "ill-formed":
+        # a right column matched twice, or a column out of range
+        k, j = ints(0, 3), ints(0, 3)
+        i1, i2 = ints(1, max(k, 1)), ints(1, max(j, 1))
+        if k >= 2 and j >= 1 and data.draw(st.booleans()):
             bad = (i1 % k + 1, i2)
         else:
             bad = data.draw(st.sampled_from([(0, i2), (k + 1, i2), (i1, 0), (i1, j + 1)]))
-        s = frozenset({(i1, i2), bad})
+        s = {(i1, i2), bad}
     else:
-        s = frozenset()
-    assert (bool(s) and join_spec_ok(s, k, j)) == well_formed
+        k, j = ints(0, 3), ints(0, 3)
+        s = set()
+    return k, j, s
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(PLANNED_SHAPE)), st.data())
+def test_join_arity_law(kind, data):
+    # s is drawn as each kind in turn, so every plan shape meets
+    # labeled, unlabeled and (for a product) arity-0 relations
+    k, j, s = draw_join_spec(data, kind)
+    r1 = data.draw(relation_of(k, data.draw(st.booleans())))
+    # right labels either clash with the left's ("c") or do not ("d")
+    r2 = data.draw(relation_of(j, data.draw(st.booleans()), data.draw(st.sampled_from("cd"))))
+    plan = join_plan(frozenset(s), k, j)
+    assert plan.shape == PLANNED_SHAPE[kind]
     out = natural_join(r1, r2, s)
-    if well_formed:
+    if plan.shape == "product":
+        kept = list(range(1, j + 1))
+        assert out.arity == k + j
+        assert out.tuples == frozenset(oracle_cartesian(r1.tuples, r2.tuples))
+    else:
         dropped = {i2 for _, i2 in s}
         kept = [i for i in range(1, j + 1) if i not in dropped]
         assert out.arity == k + j - len(s)
         assert out.tuples == frozenset(oracle_join(list(r1.tuples), list(r2.tuples), s, j))
-    else:
-        kept = list(range(1, j + 1))
-        assert out.arity == k + j
-        assert out.tuples == frozenset(oracle_cartesian(r1.tuples, r2.tuples))
     labels = None
     if r1.attrs is not None and r2.attrs is not None:
         merged = r1.attrs + tuple(r2.attrs[i - 1] for i in kept)
         labels = merged if len(set(merged)) == len(merged) else None
     assert out.attrs == labels
+    # the set-operation shapes hand back the input rows themselves
+    sources = {"intersection": (r1, r2), "semijoin": (r1,), "extension": (r2,)}.get(plan.shape)
+    if sources is not None:
+        ids = {id(t) for r in sources for t in r.tuples}
+        assert all(id(t) in ids for t in out.tuples)
+    # whatever the shape, a hash join on the plan's getters gives the
+    # same rows, as the world-set tables join them
+    index = {}
+    for t2 in r2.tuples:
+        index.setdefault(plan.key2(t2), []).append(plan.rest2(t2))
+    assert {t1 + rest for t1 in r1.tuples for rest in index.get(plan.key1(t1), ())} == out.tuples
 
 
 @settings(max_examples=60)

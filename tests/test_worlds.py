@@ -246,6 +246,14 @@ class TestEnumeratedMembers:
             with pytest.raises(WorldError, match="^no world named"):
                 ws64.world(name)
 
+    @pytest.mark.parametrize("cut", [slice(None, None, 9), slice(-3, None), slice(5, 2), slice(60, 99)])
+    def test_slicing_gives_the_members_as_a_list(self, ws64, cut):
+        # as a file-read set's list of members slices
+        members = ws64.worlds[cut]
+        assert isinstance(members, list)
+        assert [w.name for w in members] == [w.name for w in list(ws64.worlds)[cut]]
+        assert all(w.world_set is ws64 for w in members)
+
     @pytest.mark.parametrize("case", BASE_TABLE_SETS.values(), ids=BASE_TABLE_SETS.keys())
     def test_closed_form_base_tables_equal_a_member_scan(self, case):
         ws = enumerate_worlds(*case)
