@@ -19,8 +19,8 @@ shape its cached `join_plan` gives the index pairs: an intersection
 (every column paired with itself), a semijoin (every right column
 joined) or an extension (every left column paired with itself) keeps
 rows of its inputs as they are and builds no new tuple; any other pair
-set runs a hash join, and an empty or ill-formed one the cartesian
-product.
+set runs a hash join.  An ill-formed set counts as the empty one, on
+which a join with a truth value is a set operation, any other a product.
 """
 from __future__ import annotations
 
@@ -212,10 +212,10 @@ class JoinPlan(NamedTuple):
     """How natural_join combines rows for one (s, arity1, arity2).
 
     shape names the kernel natural_join runs (see `join_plan`).  For
-    every shape, key1 and key2 map a left and a right row to their join
-    key, and rest2 maps a right row (or its labels) to the tuple of its
-    kept columns, so a hash join on key1, key2 and rest2 (as
-    `worlds._join_masks` runs) gives the join whatever the shape.
+    every shape, key1 and key2 map a left and a right row to the tuple
+    of its join columns, rest2 a right row (or its labels) to that of
+    its kept columns, so a hash join on them (as `worlds._join_masks`
+    runs) gives the join whatever the shape.
     """
 
     shape: str
@@ -223,12 +223,6 @@ class JoinPlan(NamedTuple):
     key1: Callable
     key2: Callable
     rest2: Callable
-
-
-def _key(cols: Sequence[int]) -> Callable:
-    # itemgetter of one column gives the element itself, of several a
-    # tuple; either way both sides of a join build the same kind of key
-    return itemgetter(*cols) if cols else _nothing
 
 
 def _columns(cols: Sequence[int]) -> Callable:
@@ -248,7 +242,9 @@ def _nothing(t) -> tuple:
 @lru_cache(maxsize=1024)
 def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
     """The plan natural_join follows for index pairs s between
-    relations of the given arities, sorted into one of five shapes:
+    relations of the given arities, sorted into one of four shapes (an
+    ill-formed s counts as the empty set, so a truth value on either
+    side makes one of the first three):
 
     - "intersection": s is {(i, i)} over every column of two relations
       of equal arity; the joined rows are the common rows;
@@ -256,13 +252,10 @@ def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
       most one partner and is kept as it is when its key is a right row;
     - "extension": s is {(i, i)} over every left column, so a joined
       row is the right row whose prefix is a left row;
-    - "hash": any other well-formed s;
-    - "product": an empty or ill-formed s, with an empty key and every
-      right column kept.
+    - "hash": any other s, the cartesian product when s is empty.
     """
-    if not (s and join_spec_ok(s, arity1, arity2)):
-        # tuple() hands a row (or a label tuple) back as it is
-        return JoinPlan("product", arity1 + arity2, _nothing, _nothing, tuple)
+    if not join_spec_ok(s, arity1, arity2):
+        s = frozenset()
     arity = arity1 + arity2 - len(s)
     if len(s) == arity2:
         # join_spec_ok matches each right column at most once
@@ -280,8 +273,8 @@ def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
     return JoinPlan(
         "hash",
         arity,
-        _key([i1 - 1 for i1, _ in pairs]),
-        _key([i2 - 1 for _, i2 in pairs]),
+        _columns([i1 - 1 for i1, _ in pairs]),
+        _columns([i2 - 1 for _, i2 in pairs]),
         _columns([i - 1 for i in range(1, arity2 + 1) if i not in drop]),
     )
 
@@ -319,8 +312,8 @@ def natural_join(r1: Relation, r2: Relation, s) -> Relation:
 
     The kernel follows the shape of the cached `join_plan`.  An
     intersection, a semijoin and an extension are set operations that
-    return rows of the inputs and build no new tuple; a hash join or a
-    product builds its rows.
+    return rows of the inputs and build no new tuple; a hash join
+    builds its rows.
     """
     plan = join_plan(frozenset(s), r1.arity, r2.arity)
     shape = plan.shape

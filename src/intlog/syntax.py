@@ -778,8 +778,6 @@ def substitute(x: Union[Formula, Term], m: Mapping[str, Term]) -> Union[Formula,
         # so no id is reused) to its rewrite under m: one table per
         # mapping.  A binder passes both on unless it drops a name, so
         # the table also serves below a binder reached twice
-        if not m:
-            return x
         if isinstance(x, Variable):
             return m.get(x.name, x)
         if isinstance(x, Atom):

@@ -478,9 +478,9 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
 
 
 def _join_masks(left: Masks, right: Masks, s, k: int, j: int) -> Masks:
-    """Hash join on the index pairs in s, ANDing the masks; it follows
-    relalg.join_plan, so an empty or ill-formed s gives the cartesian
-    product, as in relalg.natural_join."""
+    """Hash join on the index pairs in s, ANDing the masks, keyed by the
+    getters of relalg.join_plan, which give the join whatever its shape:
+    an empty or ill-formed s gives the product, as in natural_join."""
     plan = join_plan(s, k, j)
     key2, rest2 = plan.key2, plan.rest2
     index: Dict[object, list] = {}
@@ -545,16 +545,10 @@ class EquivReport:
             ident = "identical" if self.same_concept else "distinct"
             return f"equivalent ({self.mode}); concepts {ident} {scope}"
         out = f"not equivalent ({self.mode})"
+        row = f"tuple ({', '.join(element_name(e) for e in self.row)})"
         if self.world is not None:
-            row = (
-                f", tuple ({', '.join(element_name(e) for e in self.row)})"
-                if self.row is not None
-                else ""
-            )
-            out += f" (witness: world {self.world}{row})"
-        elif self.row is not None:
-            out += f" (witness tuple ({', '.join(element_name(e) for e in self.row)}))"
-        return f"{out} {scope}"
+            return f"{out} (witness: world {self.world}, {row}) {scope}"
+        return f"{out} (witness {row}) {scope}"
 
 
 def _grounded_concepts(t1: Abstraction, t2: Abstraction, g: Assignment, ws: WorldSet):
@@ -576,12 +570,9 @@ def strong_equiv(
 
     The witness is the first world that tells the two apart, with the
     least tuple (by tuple_key) in exactly one of the two extensions
-    there; concepts of different degree differ in the first world,
-    with no tuple."""
+    there."""
     u1, u2 = _grounded_concepts(t1, t2, g, ws)
     same = u1 is u2
-    if u1.degree != u2.degree:
-        return EquivReport(False, "strong", same, len(ws), ws.worlds[0].name)
     m1, m2 = masks(u1, ws), masks(u2, ws)
     diffs = {t: m1.get(t, 0) ^ m2.get(t, 0) for t in m1.keys() | m2.keys()}
     anywhere = 0
@@ -602,11 +593,9 @@ def weak_equiv(
     `masks`.
 
     The witness is the least tuple (by tuple_key) in exactly one of the
-    two; concepts of different degree differ with no tuple."""
+    two."""
     u1, u2 = _grounded_concepts(t1, t2, g, ws)
     same = u1 is u2
-    if u1.degree != u2.degree:
-        return EquivReport(False, "weak", same, len(ws))
     diff = masks(u1, ws).keys() ^ masks(u2, ws).keys()
     row = min(diff, key=tuple_key) if diff else None
     return EquivReport(not diff, "weak", same, len(ws), None, row)

@@ -5,6 +5,7 @@ from intlog.cli import main
 from intlog.files import data_text
 from intlog.gen import MAX_DEPTH
 from intlog.relalg import rel
+from test_mutants import literal_a_resolves_to_b
 
 SIG = """\
 pred p/1
@@ -82,6 +83,11 @@ class TestParse:
         assert code == 0
         assert "(abs (alpha) (beta) (exists x (neg " not in out  # no desugar of plain atom
         assert out.splitlines()[0] == "ast (abs (alpha) (beta) (exists x (atom p/1 x)))"
+
+    def test_constant_and_element_literal(self, paths, capsys):
+        code, out, _ = run(capsys, "parse", "--sig", paths["sig"], "q(c, #a)")
+        assert code == 0
+        assert out.splitlines() == ["ast (atom q/2 c #a)", "free ()"]
 
     def test_arity_error_exits_2(self, paths, capsys):
         code, _, err = run(capsys, "parse", "--sig", paths["sig"], "p(x, y)")
@@ -466,6 +472,22 @@ class TestCheckConstraint:
         last = out.splitlines()[-1]
         assert last.startswith("kind=summary ")
         assert "violations=0" in last
+
+    def test_violation_exits_1_naming_it(self, paths, capsys, monkeypatch):
+        # with #a compiled as b, p(x) under x = a fails wherever p tells
+        # a from b; the enumeration first does so in w16, p = {a}
+        literal_a_resolves_to_b(monkeypatch)
+        formulas = paths["dir"] / "f.txt"
+        formulas.write_text("p(x)\n")
+        code, out, _ = run(capsys, "check-constraint", "--sig", paths["sig"],
+                           "--enumerate", "a,b", "--const", "c=a",
+                           "--formulas", str(formulas), "--format", "records")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "kind=violation world=w16 formula='p(x)' assignment=a"
+        kind, *fields = lines[-1].split()
+        assert kind == "kind=summary"
+        assert int(dict(f.split("=") for f in fields)["violations"]) > 0
 
 
 class TestEquiv:

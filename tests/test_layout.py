@@ -157,8 +157,9 @@ def test_no_unused_imports():
     assert offenders == []
 
 
-def _kinds_compared(tree, function):
-    """The strings a function compares a `kind` name or attribute with."""
+def _kinds_compared(tree, function, name="kind"):
+    """The strings a function compares a `name` variable or attribute
+    with."""
     out = set()
     for fn in ast.walk(tree):
         if not (isinstance(fn, ast.FunctionDef) and fn.name == function):
@@ -168,8 +169,8 @@ def _kinds_compared(tree, function):
                 continue
             sides = [node.left, *node.comparators]
             if any(
-                (isinstance(s, ast.Name) and s.id == "kind")
-                or (isinstance(s, ast.Attribute) and s.attr == "kind")
+                (isinstance(s, ast.Name) and s.id == name)
+                or (isinstance(s, ast.Attribute) and s.attr == name)
                 for s in sides
             ):
                 out.update(
@@ -195,6 +196,22 @@ def test_both_evaluators_handle_exactly_the_interned_kinds():
     assert interned == {"atom", "conj", "neg", "exists", "necess"}
     assert _kinds_compared(tree("semantics.py"), "_ext") == interned
     assert _kinds_compared(tree("worlds.py"), "masks") == interned
+
+
+def test_natural_join_runs_exactly_the_planned_shapes():
+    # a shape natural_join does not name falls through to the hash join,
+    # so a planned set operation it missed would build its rows; a name
+    # no plan carries is a dead branch
+    tree = ast.parse((SRC / "relalg.py").read_text(encoding="utf-8"))
+    planned = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "JoinPlan"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert planned == {"intersection", "semijoin", "extension", "hash"}
+    assert _kinds_compared(tree, "natural_join", "shape") | {"hash"} == planned
 
 
 def _classes_tested(tree, function):

@@ -449,16 +449,26 @@ def test_complement_involution(r):
     assert complement(complement(r, dom), dom) == r
 
 
-# the plan shape each drawn kind of index set must get
+# the plan shape each drawn kind of index set must get; an ill-formed
+# set is read as the empty one, whose shape follows the arities
 PLANNED_SHAPE = {
     "intersection": "intersection",
     "semijoin": "semijoin",
     "transposed": "semijoin",
     "extension": "extension",
     "general": "hash",
-    "ill-formed": "product",
-    "empty": "product",
+    "ill-formed": None,
+    "empty": None,
 }
+
+
+def empty_key_shape(k, j):
+    """A truth value on either side is a set operation that keeps the
+    other side's rows or none; two positive arities hash on the empty
+    key, which is the cartesian product."""
+    if j == 0:
+        return "intersection" if k == 0 else "semijoin"
+    return "extension" if k == 0 else "hash"
 
 
 def draw_join_spec(data, kind):
@@ -511,15 +521,15 @@ def draw_join_spec(data, kind):
 @given(st.sampled_from(sorted(PLANNED_SHAPE)), st.data())
 def test_join_arity_law(kind, data):
     # s is drawn as each kind in turn, so every plan shape meets
-    # labeled, unlabeled and (for a product) arity-0 relations
+    # labeled, unlabeled and (for an empty key) arity-0 relations
     k, j, s = draw_join_spec(data, kind)
     r1 = data.draw(relation_of(k, data.draw(st.booleans())))
     # right labels either clash with the left's ("c") or do not ("d")
     r2 = data.draw(relation_of(j, data.draw(st.booleans()), data.draw(st.sampled_from("cd"))))
     plan = join_plan(frozenset(s), k, j)
-    assert plan.shape == PLANNED_SHAPE[kind]
+    assert plan.shape == (PLANNED_SHAPE[kind] or empty_key_shape(k, j))
     out = natural_join(r1, r2, s)
-    if plan.shape == "product":
+    if PLANNED_SHAPE[kind] is None:
         kept = list(range(1, j + 1))
         assert out.arity == k + j
         assert out.tuples == frozenset(oracle_cartesian(r1.tuples, r2.tuples))
@@ -549,7 +559,14 @@ def test_join_arity_law(kind, data):
 @settings(max_examples=60)
 @given(relations())
 def test_join_unit(r):
-    assert natural_join(TRUE, r, set()).tuples == r.tuples
+    # a join with a truth value hands back the other side's row set
+    # itself (two truth values intersect), or nothing: it builds no
+    # product
+    for out in (natural_join(TRUE, r, set()), natural_join(r, TRUE, set())):
+        assert out.tuples == r.tuples
+        assert out.tuples is r.tuples or r.arity == 0
+    assert natural_join(FALSE, r, set()).tuples == frozenset()
+    assert natural_join(r, FALSE, set()).tuples == frozenset()
 
 
 @settings(max_examples=60)
