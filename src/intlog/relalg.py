@@ -401,8 +401,9 @@ def project_out_many(r: Relation, beta: Sequence) -> Relation:
 
 
 def identity_relation(domain: Iterable) -> Relation:
-    """The binary relation {(d, d) | d in domain}."""
-    return rel(2, [(d, d) for d in domain])
+    """The binary relation {(d, d) | d in domain}; its rows cannot fail
+    `rel`'s checks, so it is built directly."""
+    return Relation(2, frozenset((d, d) for d in domain))
 
 
 def rel_equiv(r1: Relation, r2: Relation) -> bool:

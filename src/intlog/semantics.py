@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 from .concepts import (
     Concept,
@@ -114,10 +113,9 @@ class World:
     relation per predicate symbol.
 
     The world carries the relations of the reserved predicates itself,
-    and neither can be declared: the identity relation for `==` (one
-    shared relation per domain) and TRUE for `true`.  The table of
-    element names, `element_names`, is derived from the domain and
-    shared in the same way.  Worlds are
+    and neither can be declared: the identity relation on its domain for
+    `==` and TRUE for `true`.  It derives its table of element names,
+    `element_names`, from the domain too.  Worlds are
     immutable after construction apart from the back reference to the
     one WorldSet that adopts the world, which holds the extension memo.
     A member of an enumerated set is a view the set builds when it is
@@ -139,9 +137,12 @@ class World:
         self.const_map = dict(const_map or {})
         self.pred_map = dict(pred_map or {})
         self._sorted = sorted(self.domain, key=element_key)
-        identity, self.element_names = _identity(
-            self.domain, tuple(map(element_name, self._sorted))
-        )
+        self.element_names: Dict[str, DomainElement] = {}
+        for e in self._sorted:
+            n = element_name(e)
+            if n in self.element_names:
+                raise WorldError(f"duplicate element name {n!r}")
+            self.element_names[n] = e
         for c, e in self.const_map.items():
             if e not in self.domain:
                 raise WorldError(f"constant {c} denotes {element_name(e)}, not in domain")
@@ -156,7 +157,7 @@ class World:
                         raise WorldError(
                             f"tuple element {element_name(e)} of {p} not in domain"
                         )
-        self.pred_map[ID_PRED] = identity
+        self.pred_map[ID_PRED] = identity_relation(self._sorted)
         self.pred_map[TRUE_PRED] = TRUE
         self._relations = {p: r.tuples for p, r in self.pred_map.items()}
         self.world_set = None  # set once, when a WorldSet adopts this world
@@ -279,21 +280,6 @@ def assignment_extend(t: Term, g: Assignment, w: World) -> DomainElement:
 # ---------------------------------------------------------------------------
 # step two: concepts to relations, per world
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=16)
-def _identity(domain: frozenset, names: tuple) -> Tuple[Relation, Dict[str, DomainElement]]:
-    """One identity relation and one element-name table for all worlds
-    over equal domains whose elements, in element_key order, have the
-    same names (a reified element's name is not part of its equality,
-    but is printed).  The worlds share the table and never change it;
-    a name given to two elements raises WorldError."""
-    table: Dict[str, DomainElement] = {}
-    for n, e in zip(names, sorted(domain, key=element_key)):
-        if n in table:
-            raise WorldError(f"duplicate element name {n!r}")
-        table[n] = e
-    return identity_relation(domain), table
-
 
 def atom_row(u: Concept, row: tuple) -> Optional[tuple]:
     """The tuple a base-relation row contributes to an atom concept's
@@ -472,8 +458,6 @@ class DiagramReport:
     ok: bool
     formula: Formula
     world: str
-    via_satisfaction: Relation
-    via_concepts: Relation
     witness: Optional[tuple] = None
 
     def __str__(self) -> str:
@@ -489,12 +473,12 @@ def check_diagram(f: Formula, w: World) -> DiagramReport:
     r1 = tarski_eval(f, w)
     r2 = eval_formula(f, w)
     if r1.arity != r2.arity:
-        return DiagramReport(False, f, w.name, r1, r2, None)
+        return DiagramReport(False, f, w.name)
     ok = r1.tuples == r2.tuples
     witness = None
     if not ok:
         witness = min(r1.tuples ^ r2.tuples, key=tuple_key)
-    return DiagramReport(ok, f, w.name, r1, r2, witness)
+    return DiagramReport(ok, f, w.name, witness)
 
 
 def check_tarski_constraint(f: Formula, g: Assignment, w: World) -> bool:

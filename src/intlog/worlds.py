@@ -350,8 +350,7 @@ def enumerate_worlds(
     candidate relations are built once, and the set keeps only those:
     it builds a member when one is asked for (`EnumeratedWorldSet`), so
     the limit bounds the work of a sweep, not the memory the set holds.
-    Members share the candidate relations and one element-name table,
-    as all worlds over the same named domain do.
+    Members share the candidate relations.
     """
     elems = []
     seen = set()

@@ -317,3 +317,24 @@ def test_the_reference_never_reads_the_compiled_routes_tables():
         if names & compiled:
             offenders.append(f"semantics.py:{getattr(node, 'lineno', '?')}")
     assert offenders == []
+
+
+def test_process_global_caches_are_exactly_these():
+    # a module-level cache outlives every world and world set, so it
+    # needs a reason that holds for all of them; per-world tables are
+    # built by each World
+    reasons = {
+        "relalg.join_plan": "a plan depends only on its index pairs and arities",
+        "relalg._power": "every complement over one domain object reuses its domain^k",
+        "syntax.free_vars": "bench/rep.py reads its cache_info until the benchmark reads fv",
+    }
+    cached = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if getattr(d, "id", getattr(d, "attr", None)) in ("lru_cache", "cache"):
+                    cached.add(f"{path.stem}.{node.name}")
+    assert cached == set(reasons)

@@ -135,8 +135,15 @@ class TestLoadWorld:
         assert "u2 u2" in shown[1] and "unicorn" not in shown[1]
 
     def test_identity_relation_automatic(self, w1):
-        ident = w1.pred_map[PredicateSymbol("==", 2)]
-        assert ident == rel(2, [(A, A), (B, B)])
+        u = ConceptHandle(atom_concept(P, (1,)).cid)
+        reified = load_world("domain a\nreify u = << p(x) >>_{x}\nconst c = a\nconst d = a\n", SIG)
+        for w, domain in ((w1, [A, B]), (reified, [A, u])):
+            assert w.pred_map[PredicateSymbol("==", 2)] == rel(2, [(e, e) for e in domain])
+
+    def test_two_elements_with_one_name_are_refused(self):
+        named_a = ConceptHandle(atom_concept(P, (1,)).cid, "a")
+        with pytest.raises(WorldError, match="duplicate element name 'a'"):
+            World("w", (A, named_a))
 
     def test_arity_zero_relation(self):
         sig = make_signature(preds=[("s", 0)], consts=[])
@@ -810,7 +817,7 @@ class TestCheckDiagram:
         f = parse("p(x)")
         ok = check_diagram(f, w1)
         assert str(ok) == "ok: p(x) @ w1"
-        bad = DiagramReport(False, f, "w1", rel(1, [(A,)]), rel(1, []), (A,))
+        bad = DiagramReport(False, f, "w1", (A,))
         assert "MISMATCH" in str(bad) and "witness (a)" in str(bad)
 
     def test_modal_report_rendering(self):
@@ -819,7 +826,7 @@ class TestCheckDiagram:
         f = parse_formula("p(x)", sig)
         for w in enumerate_worlds(sig, ["a", "b"]):
             assert str(check_diagram(Diamond(f), w)) == f"ok: ~[]~p(x) @ {w.name}"
-        bad = DiagramReport(False, Box(f), "w3", rel(1, [(A,)]), rel(1, []), (A,))
+        bad = DiagramReport(False, Box(f), "w3", (A,))
         assert str(bad).startswith("MISMATCH: []p(x) @ w3")
 
     def test_mismatch_detected_on_corrupted_world(self):
