@@ -7,7 +7,7 @@ Grammar:
              | ("exists" | "forall" | "exists1") VAR "." formula
              | atom
              | "(" formula ")"
-    atom    := PRED "(" term ("," term)* ")" | PRED | term "==" term
+    atom    := PRED ("(" term ("," term)* ")")? | term "==" term
              | "true" | "false"
     term    := VAR | CONST | "#" IDENT
              | "<<" formula ">>" "_{" varlist? "}" ("^{" varlist? "}")?
@@ -26,7 +26,8 @@ interpreter's stack.
 Variables are identifiers starting with x, y or z, plus anything a
 signature declares with `var`.  `#name` denotes the domain element with
 that name; `==` is the reserved identity predicate and `true` the
-reserved tautology.
+reserved tautology.  A bare `PRED` is an application with no arguments,
+so one rule resolves every predicate against the signature.
 
 Every node carries its free variables, in order of first occurrence
 left to right, as `fv`, derived from its children when it is built.
@@ -40,6 +41,9 @@ when there are none.
 `substitute` and `ground` rewrite a formula or a term in one walk, which
 rewrites a conjunction that desugaring shares (`a <-> b` holds a and b
 twice) once per mapping, so the result shares it too.
+
+Formula nodes and abstraction terms all print through the printer:
+`str` is `format_formula`, or `format_term` for an abstraction.
 """
 from __future__ import annotations
 
@@ -122,7 +126,14 @@ def _merge(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ...]:
 _setattr = object.__setattr__
 
 
-class _SameAsSub:
+class _Printed:
+    """A formula node or an abstraction term, printed by the printer."""
+
+    def __str__(self) -> str:
+        return format_term(self) if isinstance(self, Abstraction) else format_formula(self)
+
+
+class _SameAsSub(_Printed):
     """A node whose free variables are its sub's."""
 
     def __post_init__(self) -> None:
@@ -166,7 +177,7 @@ class ElemTerm:
 
 
 @dataclass(frozen=True)
-class Abstraction:
+class Abstraction(_Printed):
     """Term form of a formula: binds alpha, exposes beta (its `fv`).
 
     Raises:
@@ -192,15 +203,12 @@ class Abstraction:
     def beta(self) -> Tuple[str, ...]:
         return self.fv
 
-    def __str__(self) -> str:
-        return format_term(self)
-
 
 Term = Union[Variable, Constant, ElemTerm, Abstraction]
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Printed):
     pred: PredicateSymbol
     args: Tuple[Term, ...] = ()
 
@@ -210,40 +218,28 @@ class Atom:
             fv = _merge(fv, a.fv)
         _setattr(self, "fv", fv)
 
-    def __str__(self) -> str:
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class Conj:
+class Conj(_Printed):
     left: "Formula"
     right: "Formula"
 
     def __post_init__(self) -> None:
         _setattr(self, "fv", _merge(self.left.fv, self.right.fv))
 
-    def __str__(self) -> str:
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Neg(_SameAsSub):
     sub: "Formula"
 
-    def __str__(self) -> str:
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Printed):
     var: str
     sub: "Formula"
 
     def __post_init__(self) -> None:
         _setattr(self, "fv", tuple([v for v in self.sub.fv if v != self.var]))
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 @dataclass(frozen=True)
@@ -252,9 +248,6 @@ class Box(_SameAsSub):
     w's set."""
 
     sub: "Formula"
-
-    def __str__(self) -> str:
-        return format_formula(self)
 
 
 def Diamond(sub: Formula) -> Formula:
@@ -514,35 +507,25 @@ class _Parser:
             self.next()
             return Neg(Atom(TRUE_PRED, ()))
         if tok.kind == "IDENT":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.value == "(" and not self.sig.is_var(tok.value) \
-                    and not self.sig.is_const(tok.value):
-                return self.application()
-            if nxt.value == "==":
+            if self.tokens[self.pos + 1].value == "==":
                 return self.identity()
-            name = self.next().value
-            if self.sig.has_pred(name, 0):
-                return Atom(PredicateSymbol(name, 0), ())
-            arities = self.sig.pred_arities(name)
-            if arities:
-                raise ArityError(
-                    f"predicate {name} used with 0 arguments, declared {arities}"
-                )
-            raise ParseError(f"unknown identifier {name!r} at position {tok.pos}")
+            return self.application()
         raise ParseError(
             f"expected a formula, found {tok.value or 'end of input'!r}"
             f" at position {tok.pos}"
         )
 
     def application(self) -> Formula:
-        name_tok = self.next()
-        name = name_tok.value
-        self.expect("(")
-        args = [self.term()]
-        while self.at(","):
+        """PRED, then its arguments unless the name is a term's."""
+        tok = self.next()
+        name, args = tok.value, []
+        if self.at("(") and not self.sig.is_var(name) and not self.sig.is_const(name):
             self.next()
             args.append(self.term())
-        self.expect(")")
+            while self.at(","):
+                self.next()
+                args.append(self.term())
+            self.expect(")")
         if not self.sig.has_pred(name, len(args)):
             arities = self.sig.pred_arities(name)
             if arities:
@@ -550,7 +533,8 @@ class _Parser:
                     f"predicate {name} used with {len(args)} arguments,"
                     f" declared {arities}"
                 )
-            raise ParseError(f"unknown predicate {name!r} at position {name_tok.pos}")
+            kind = "predicate" if args else "identifier"
+            raise ParseError(f"unknown {kind} {name!r} at position {tok.pos}")
         return Atom(PredicateSymbol(name, len(args)), tuple(args))
 
     def identity(self) -> Formula:

@@ -161,6 +161,11 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--sig", paths["sig"],
                            "--world", paths["w1"], "q(x, y)", "--assign", "x=b,y=a")
         assert (code, out) == (0, "f\n")
+        # empty entries are skipped
+        for assign in ("x=a", "x=a,,"):
+            code, out, _ = run(capsys, "eval", "--sig", paths["sig"],
+                               "--world", paths["w1"], "p(x)", "--assign", assign)
+            assert (code, out) == (0, "t\n")
 
     def test_assign_must_cover(self, paths, capsys):
         code, _, err = run(capsys, "eval", "--sig", paths["sig"],
@@ -655,6 +660,9 @@ class TestPlumbing:
                            "--world", paths["w1"], "p(x)", "--assign", "x")
         assert code == 2
         assert "name=value" in err
+        code, _, err = run(capsys, "eval", "--sig", paths["sig"],
+                           "--world", paths["w1"], "p(x)", "--assign", "x=")
+        assert (code, err) == (2, "error: bad --assign entry 'x=', expected name=value\n")
 
     def test_duplicate_assign(self, paths, capsys):
         code, _, err = run(capsys, "eval", "--sig", paths["sig"],

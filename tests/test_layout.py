@@ -338,3 +338,25 @@ def test_process_global_caches_are_exactly_these():
                 if getattr(d, "id", getattr(d, "attr", None)) in ("lru_cache", "cache"):
                     cached.add(f"{path.stem}.{node.name}")
     assert cached == set(reasons)
+
+
+def test_syntax_checks_a_predicate_against_the_signature_once():
+    # a bare predicate name is an application with no arguments, so one
+    # site resolves every predicate application and words its errors
+    tree = ast.parse((SRC / "syntax.py").read_text(encoding="utf-8"))
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "has_pred"
+    ]
+    assert len(sites) == 1, sites
+
+
+def test_formula_nodes_and_abstractions_print_through_the_printer():
+    # one inherited __str__ calls format_formula or format_term, so a
+    # node cannot print other than the printer does; Variable, Constant
+    # and ElemTerm print a bare name and keep their own
+    from intlog import syntax
+
+    classes = (*typing.get_args(syntax.Formula), syntax.Abstraction)
+    assert [cls.__name__ for cls in classes if "__str__" in vars(cls)] == []

@@ -240,6 +240,8 @@ class TestLoadWorld:
             (load_world, "domain a\nreify u = c",
              "line 2: reify u: needs an abstraction term, got 'c'"),
             (load_world, "domain a\nwat", "line 2: cannot parse 'wat'"),
+            (load_world, "reify u = << p(x) >>_{x}\ndomain a",
+             "line 1: domain must be declared first"),
             (load_world_set, "", "line 1: expected the 'worlds' header"),
             (load_world_set, "# sets\n\ndomain a", "line 3: expected the 'worlds' header"),
             (load_world_set, "worlds\ndomain a\nreify u = << q(x, c) >>_{x}",
@@ -253,6 +255,7 @@ class TestLoadWorld:
             (load_world, "domain a\nconst c = a",
              "constants without denotation: ['d']"),
             (load_world_set, "worlds\ndomain a", "world-set file has no world blocks"),
+            (load_world_set, "worlds\nworld v", "world-set file declares no domain"),
         ],
     )
     def test_errors_name_their_line(self, load, text, msg):

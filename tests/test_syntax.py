@@ -1,4 +1,5 @@
 """Parser, free variables, substitution, grounding, printing."""
+import re
 from dataclasses import fields
 
 import pytest
@@ -79,15 +80,18 @@ class TestParse:
         t = parse_term("<< p(x) & ~p(x) >>_{}^{x}", SIG)
         assert t.alpha == ()
         assert t.beta == ("x",)
+        assert str(t) == format_term(t) == "<< (p(x) & ~p(x)) >>_{}^{x}"
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             parse_formula("exists x . q(x)", SIG)
         with pytest.raises(ArityError):
             parse_formula("s(x)", SIG)
+        with pytest.raises(ArityError, match=r"^predicate q used with 0 arguments, declared \[2\]$"):
+            P("q")
 
     def test_unknown_predicate(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^unknown predicate 'nosuch' at position 0$"):
             P("nosuch(x)")
 
     def test_precedence(self):
@@ -207,6 +211,17 @@ class TestParse:
         for bad in ("p(x", "p(x))", "exists c . p(x)", "q(x,)", "", "x", "p(x) &"):
             with pytest.raises(ParseError):
                 P(bad)
+        for bad, msg in (
+            ("x(a)", "unknown identifier 'x' at position 0"),
+            ("c(a)", "unknown identifier 'c' at position 0"),
+            ("foo", "unknown identifier 'foo' at position 0"),
+            ("p()", "expected a term, found ')' at position 2"),
+            ("p(true)", "'true' cannot be a term"),
+        ):
+            with pytest.raises(ParseError, match=f"^{re.escape(msg)}$"):
+                P(bad)
+        with pytest.raises(ParseError, match="^expected a variable, found 'p' at position 12$"):
+            parse_term("<< p(x) >>_{p}", SIG)
 
     @pytest.mark.parametrize(
         "text", ["~" * 1000 + "p(x)", "(" * 1000 + "p(x)" + ")" * 1000]
@@ -508,6 +523,10 @@ class TestSignature:
             load_signature("predicate p/1")
         with pytest.raises(SignatureError):
             load_signature("var true")
+        with pytest.raises(SignatureError, match="^negative arity for predicate p$"):
+            make_signature(preds=[("p", -1)])
+        with pytest.raises(SignatureError, match="^bad predicate name '1p'$"):
+            make_signature(preds=[("1p", 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +567,7 @@ class TestPrinting:
         f = P(text)
         assert parse_formula(format_formula(f), SIG) == f
         assert format_formula(f) == text
+        assert str(f) == text
 
     def test_desugared_forms_print_as_core(self):
         assert format_formula(P("p(x) | s")) == "~(~p(x) & ~s)"

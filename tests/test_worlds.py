@@ -810,6 +810,15 @@ class TestMissingRelation:
         with pytest.raises(SemanticsError, match=self.NO_Q):
             extensionalize(necess(self.pq()), ws.worlds[1])
 
+    def test_reference_route(self, ws):
+        # the reference reads the relation per world, and over the set
+        # for a Box; both fail as the compiled route does
+        f = parse_formula("p(x) & q(x, y)", SIG_PQ)
+        with pytest.raises(SemanticsError, match=self.NO_Q):
+            tarski_eval(f, ws.worlds[0])
+        with pytest.raises(SemanticsError, match=self.NO_Q):
+            satisfies(ws, ws.worlds[0], {"x": A, "y": A}, Box(f))
+
 
 class TestReservedRelations:
     """`==` and `true` are ordinary atoms over relations every world
