@@ -75,7 +75,7 @@ def load_signature(text: str) -> Signature:
     `var name`."""
     preds, consts, dvars = [], [], []
     for lineno, line in _content_lines(text):
-        m = re.fullmatch(r"pred\s+([A-Za-z]\w*)\s*/\s*(\d+)", line)
+        m = re.fullmatch(r"pred\s+([A-Za-z]\w*)\s*/\s*([0-9]+)", line)
         if m:
             preds.append((m.group(1), int(m.group(2))))
             continue
@@ -98,7 +98,7 @@ def load_signature(text: str) -> Signature:
 _DOMAIN_RE = re.compile(r"domain\s+(.+)")
 _REIFY_RE = re.compile(r"reify\s+([A-Za-z]\w*)\s*=\s*(.+)")
 _CONST_RE = re.compile(r"const\s+([A-Za-z]\w*)\s*=\s*([A-Za-z]\w*)")
-_REL_RE = re.compile(r"rel\s+([A-Za-z]\w*)\s*/\s*(\d+)\s*=\s*(.*)")
+_REL_RE = re.compile(r"rel\s+([A-Za-z]\w*)\s*/\s*([0-9]+)\s*=\s*(.*)")
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _WORLD_HDR_RE = re.compile(r"world\s+([A-Za-z]\w*)")
 

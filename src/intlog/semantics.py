@@ -20,9 +20,9 @@ algebra, and `assignment_extend` resolves constants and element
 literals itself, not through the compiled route's `_term_element`.  So
 `check_diagram` compares two separate evaluators.  The reference walk's
 value is a bitmask of worlds: one bit for the world asked about, and
-one bit per member of its set below a Box (Diamond is `~Box~`), whose
-body is walked once over the whole set from tables the set gives for
-that check alone, never from the compiled route's bitmask tables.
+one bit per member of its set (a lone world is a set of one) below a
+Box, whose body is walked once over the whole set from tables the set
+gives for that check alone, never from the compiled route's tables.
 Besides the syntax layer, the reference calls `interpret` only to name
 the concept that an abstraction argument reifies.
 
@@ -166,8 +166,7 @@ class World:
         return self._sorted
 
     def clear_memo(self) -> None:
-        """Empty the extension memo of the world's set; a lone world
-        keeps none."""
+        """Empty its set's extension memo; a lone world keeps none."""
         if self.world_set is not None:
             self.world_set.extensions.clear()
 
@@ -180,7 +179,8 @@ class World:
 # ---------------------------------------------------------------------------
 
 def _term_element(t: Term, w: Optional[World]) -> DomainElement:
-    """Resolve a ground term position to a domain element."""
+    """Resolve a ground term position to a domain element; with no
+    world, #a is Particular("a"), even where a world reifies the name a."""
     if isinstance(t, Constant):
         if w is None:
             raise SemanticsError(f"constant {t.name} needs a world to resolve")
@@ -207,11 +207,11 @@ def interpret(x: Union[Formula, Abstraction], w: Optional[World] = None) -> Conc
     """Compile a desugared formula or an abstraction term to its concept
     (the fixed interpretation).  A term with empty beta gives its body's
     concept, otherwise the union over every instantiation of beta by w's
-    domain of the instantiated body's concept.  A world is only needed
-    for those instantiations and to resolve constants, element literals
-    and abstraction arguments; the resulting concept is world-independent
-    because constants are rigid across a set.  The walk visits each
-    shared node once (desugaring shares subformulas)."""
+    domain of the instantiated body's concept.  A world gives those
+    instantiations and resolves constants, element literals and
+    abstraction arguments; the concept is world-independent, as constants
+    are rigid across a set.  With no world, #a compiles to
+    Particular("a"), wrong in any world that reifies the name a."""
     if not isinstance(x, Abstraction):
         return _compile(x, w, {})
     if not x.beta:
@@ -305,7 +305,7 @@ def no_relation_error(pred: PredicateSymbol, w: World) -> SemanticsError:
 def _ext(u: Concept, w: World, memo: Dict[tuple, Relation]) -> Relation:
     """u's extension in w through memo, keyed by the concept id and the
     tuple sets of the relations u reads.  A necess is the box of its
-    body, from the world set's bitmask tables."""
+    body, from the set's bitmask tables; a lone world's is its body's."""
     try:
         key = (u.cid, u.relation_key(w._relations))
     except KeyError:
@@ -328,11 +328,7 @@ def _ext(u: Concept, w: World, memo: Dict[tuple, Relation]) -> Relation:
         r = project_out(_ext(u.subs[0], w, memo), u.n)
     elif kind == "necess":
         ws = w.world_set
-        if ws is None:
-            raise SemanticsError(
-                "necess needs a world that belongs to a world set"
-            )
-        r = ws.box_extension(u.subs[0])
+        r = _ext(u.subs[0], w, memo) if ws is None else ws.box_extension(u.subs[0])
     else:
         raise SemanticsError(f"unknown concept kind {kind!r}")
     memo[key] = r
@@ -366,7 +362,7 @@ def tarski_satisfied(f: Formula, g: Assignment, w: World) -> bool:
     element equality and `true` holds, whatever relations w carries).
 
     Box ranges over every world of w's world set (total
-    accessibility), so it needs a world that belongs to one; Diamond is
+    accessibility), and a lone world is a set of one; Diamond is
     `~Box~`.  A Box is one walk of its body over the whole set at once,
     from tables the set gives for this check alone
     (`WorldSet.membership`).
@@ -382,8 +378,8 @@ def _holds(f: Formula, g: Assignment, w: World, sel: int, tables: dict) -> int:
     where an atom reads its predicate's (row -> member bitmask) table,
     asked of the set once per check and kept in tables.  A Box holds in
     all of sel if its body holds in every member, else in none; Diamond
-    is `~Box~`, so it needs no case of its own.  A set of one member is
-    w itself, so sel 1 is exact for it too."""
+    is `~Box~`, so it needs no case of its own.  A lone world is a set
+    of one, as is a set of one member: its Box body walks with sel 1."""
     if isinstance(f, Atom):
         if f.pred == TRUE_PRED:
             return sel
@@ -415,10 +411,8 @@ def _holds(f: Formula, g: Assignment, w: World, sel: int, tables: dict) -> int:
                 break
         return out
     if isinstance(f, Box):
-        ws = w.world_set
-        if ws is None:
-            raise SemanticsError("box needs a world that belongs to a world set")
-        return sel if _holds(f.sub, g, w, ws.all_mask, tables) == ws.all_mask else 0
+        full = 1 if w.world_set is None else w.world_set.all_mask
+        return sel if _holds(f.sub, g, w, full, tables) == full else 0
     raise SemanticsError(f"not a formula: {f!r}")
 
 

@@ -201,10 +201,12 @@ class TestEval:
         assert code == 2
 
     def test_box_needs_a_world_set(self, paths, capsys):
-        code, out, err = run(capsys, "eval", "--sig", paths["sig"],
-                             "--world", paths["w1"], "[] p(x)")
-        assert (code, out) == (2, "")
-        assert err == "error: necess needs a world that belongs to a world set\n"
+        # a lone world is a set of one, where []f means f
+        outs = [
+            run(capsys, "eval", "--sig", paths["sig"], "--world", paths["w1"], text)
+            for text in ("[] p(x)", "p(x)")
+        ]
+        assert outs[0] == outs[1] == (0, "rel 1 x\na\n", "")
 
     def test_records(self, paths, capsys):
         code, out, _ = run(capsys, "eval", "--sig", paths["sig"],

@@ -84,6 +84,11 @@ class TestAtomConcept:
         with pytest.raises(ConceptError):
             atom_concept(P1, (0,))
 
+    @pytest.mark.parametrize("arg", ["x", True], ids=["str", "bool"])
+    def test_bad_atom_argument(self, arg):
+        with pytest.raises(ConceptError, match=f"^bad atom argument {arg!r}$"):
+            atom_concept(P1, [arg])
+
     def test_truth_is_degree_zero(self):
         assert TRUTH_CONCEPT.degree == 0
 

@@ -360,3 +360,21 @@ def test_formula_nodes_and_abstractions_print_through_the_printer():
 
     classes = (*typing.get_args(syntax.Formula), syntax.Abstraction)
     assert [cls.__name__ for cls in classes if "__str__" in vars(cls)] == []
+
+
+def test_no_regular_expression_reads_unicode_digits():
+    # `\d` matches any Unicode digit, so `p/١` would read as `p/1`;
+    # every number in an input file is ASCII, read with [0-9]
+    patterns = [
+        (path.name, node.lineno, node.args[0].value)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ]
+    assert patterns
+    assert [f"{name}:{line}" for name, line, text in patterns if "\\d" in text] == []

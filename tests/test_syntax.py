@@ -523,6 +523,9 @@ class TestSignature:
             load_signature("predicate p/1")
         with pytest.raises(SignatureError):
             load_signature("var true")
+        # an arity is ASCII digits; U+0661 is a digit to `\d`
+        with pytest.raises(SignatureError, match="^line 1: cannot parse 'pred p/\u0661'$"):
+            load_signature("pred p/\u0661")
         with pytest.raises(SignatureError, match="^negative arity for predicate p$"):
             make_signature(preds=[("p", -1)])
         with pytest.raises(SignatureError, match="^bad predicate name '1p'$"):

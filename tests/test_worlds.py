@@ -38,6 +38,7 @@ from intlog.relalg import (
     tuple_key,
 )
 from intlog.semantics import (
+    RESERVED_PREDS,
     SemanticsError,
     World,
     WorldError,
@@ -326,6 +327,22 @@ class TestReferenceOverTheSet:
                     got = route(Diamond(f), w).tuples
                     assert got == some, (format_formula(f), w.name, route.__name__)
 
+    def test_a_lone_world_is_a_set_of_one(self, ws64):
+        # over a frame of one, []f, ~[]~f and [](~[]~f) all mean f, for
+        # a world that stands alone and for the one member of a set
+        for m in ws64:
+            own = {p: r for p, r in m.pred_map.items() if p not in RESERVED_PREDS}
+            lone = World(m.name, m.domain, m.const_map, own)
+            member = World(m.name, m.domain, m.const_map, own)
+            WorldSet([member])
+            for f in self.POOL:
+                for route in (tarski_eval, eval_formula):
+                    want = route(f, lone)
+                    for mf in (Box(f), Diamond(f), Box(Diamond(f))):
+                        for w in (lone, member):
+                            got = route(mf, w)
+                            assert got == want, (format_formula(mf), m.name, route.__name__)
+
     def test_nested_modal_formulas_commute_with_the_compiled_route(self):
         ws = enumerate_worlds(SIG_PQ, ["a", "b"])
         for f in _nested_modal_formulas(self.POOL, 40, seed=18):
@@ -438,14 +455,14 @@ class TestWorldSet:
     def test_mismatched_constants(self):
         w0 = World("m0", (A, B), {"c": A}, {P: rel(1, [])})
         w1 = World("m1", (A, B), {"c": B}, {P: rel(1, [])})
-        with pytest.raises(WorldError, match="constant"):
+        with pytest.raises(WorldError, match="^world m1 has different constant denotations$"):
             WorldSet([w0, w1])
 
     def test_duplicate_names_and_empty(self):
         w = World("m", (A,), {}, {P: rel(1, [])})
         with pytest.raises(WorldError, match="duplicate"):
             WorldSet([w, w])
-        with pytest.raises(WorldError, match="at least one"):
+        with pytest.raises(WorldError, match="^a world set needs at least one world$"):
             WorldSet([])
 
     def test_clear_memos(self, ws4):
@@ -642,9 +659,10 @@ class TestSatisfies:
             assert satisfies(ws4, w, {}, Diamond(some_p))
 
     def test_modal_needs_a_world_set(self):
-        w = World("solo", [A], {}, {P: rel(1, [(A,)])})
-        with pytest.raises(SemanticsError):
-            tarski_satisfied(Box(parse_formula("p(#a)", SIG_P)), {}, w)
+        # a lone world is a set of one, where the Box of f is f
+        box = Box(parse_formula("p(#a)", SIG_P))
+        assert tarski_satisfied(box, {}, World("solo", [A], {}, {P: rel(1, [(A,)])}))
+        assert not tarski_satisfied(box, {}, World("solo", [A], {}, {P: rel(1, [])}))
 
     def test_modal_free_vars(self):
         px = Atom(P, (Variable("x"),))
