@@ -183,35 +183,25 @@ def _group(label: str, names) -> str:
     return f"({label} {inner})" if inner else f"({label})"
 
 
-def _dump_term(t) -> str:
-    if isinstance(t, Variable):
-        return t.name
-    if isinstance(t, Constant):
-        return t.name
-    if isinstance(t, ElemTerm):
-        return f"#{t.name}"
-    if isinstance(t, Abstraction):
-        return (
-            f"(abs {_group('alpha', t.alpha)} {_group('beta', t.beta)} "
-            f"{_dump_ast(t.body)})"
-        )
-    raise CliError(f"cannot dump term {t!r}")
-
-
-def _dump_ast(f: Formula) -> str:
-    if isinstance(f, Atom):
-        parts = " ".join(_dump_term(t) for t in f.args)
-        head = f"{f.pred.name}/{f.pred.arity}"
+def _dump(x) -> str:
+    """A formula or a term as an s-expression."""
+    if isinstance(x, (Variable, Constant, ElemTerm)):
+        return str(x)
+    if isinstance(x, Abstraction):
+        return f"(abs {_group('alpha', x.alpha)} {_group('beta', x.beta)} {_dump(x.body)})"
+    if isinstance(x, Atom):
+        parts = " ".join(_dump(t) for t in x.args)
+        head = f"{x.pred.name}/{x.pred.arity}"
         return f"(atom {head} {parts})" if parts else f"(atom {head})"
-    if isinstance(f, Conj):
-        return f"(conj {_dump_ast(f.left)} {_dump_ast(f.right)})"
-    if isinstance(f, Neg):
-        return f"(neg {_dump_ast(f.sub)})"
-    if isinstance(f, Box):
-        return f"(box {_dump_ast(f.sub)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {_dump_ast(f.sub)})"
-    raise CliError(f"cannot dump {f!r}")
+    if isinstance(x, Conj):
+        return f"(conj {_dump(x.left)} {_dump(x.right)})"
+    if isinstance(x, Neg):
+        return f"(neg {_dump(x.sub)})"
+    if isinstance(x, Box):
+        return f"(box {_dump(x.sub)})"
+    if isinstance(x, Exists):
+        return f"(exists {x.var} {_dump(x.sub)})"
+    raise CliError(f"cannot dump {x!r}")
 
 
 def _var_tuple(names) -> str:
@@ -224,14 +214,13 @@ def _var_tuple(names) -> str:
 
 def cmd_parse(args) -> int:
     x = _formula_or_term(args.formula, _signature(args))
+    ast = _dump(x)
     if isinstance(x, Abstraction):
-        ast = _dump_term(x)
         _emit(args, f"ast {ast}\nalpha {_var_tuple(x.alpha)}\nbeta {_var_tuple(x.beta)}",
               kind="abstraction", ast=ast, alpha=" ".join(x.alpha), beta=" ".join(x.beta))
         return 0
-    ast, fv = _dump_ast(x), x.fv
-    _emit(args, f"ast {ast}\nfree {_var_tuple(fv)}",
-          kind="formula", ast=ast, free=" ".join(fv))
+    _emit(args, f"ast {ast}\nfree {_var_tuple(x.fv)}",
+          kind="formula", ast=ast, free=" ".join(x.fv))
     return 0
 
 
@@ -377,7 +366,7 @@ def _add_world_sources(p: argparse.ArgumentParser) -> None:
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--formulas", help="formula file (one per line, # comments)")
+    p.add_argument("--formulas", help="formula file (one per line, '# ' comments)")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="add N seeded random formulas")
     p.add_argument("--seed", type=int, default=0)

@@ -1,7 +1,8 @@
 """Readers and writers for every text format intlog uses.
 
 All formats are line-oriented.  Each line is stripped of surrounding
-whitespace; blank lines and lines starting with `#` are skipped.
+whitespace; blank lines and comments, `#` alone or before a space or a
+tab, are skipped, so a formula line may start with a `#name` literal.
 
 - signature files: `pred name/arity`, `const name` and `var name` lines;
 - world files: `domain`, `reify` and `const` lines, then `rel` lines;
@@ -52,7 +53,7 @@ def _content_lines(text: str) -> Iterator[Tuple[int, str]]:
     nor a comment."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if line and not line.startswith("#"):
+        if line and line[:2] not in ("#", "# ", "#\t"):
             yield lineno, line
 
 

@@ -190,9 +190,7 @@ def join_spec_ok(s, k: int, j: int) -> bool:
         if not (isinstance(pair, tuple) and len(pair) == 2):
             return False
         i1, i2 = pair
-        if not (isinstance(i1, int) and isinstance(i2, int)):
-            return False
-        if not (1 <= i1 <= k and 1 <= i2 <= j):
+        if not (i1 in range(1, k + 1) and i2 in range(1, j + 1)):
             return False
         if i2 in seen:
             return False
@@ -256,6 +254,8 @@ def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
     """
     if not join_spec_ok(s, arity1, arity2):
         s = frozenset()
+    # an index is read by its value, so the equal sets of one cache key plan alike
+    s = frozenset((int(i1), int(i2)) for i1, i2 in s)
     arity = arity1 + arity2 - len(s)
     if len(s) == arity2:
         # join_spec_ok matches each right column at most once

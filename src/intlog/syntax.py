@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union
 
 from .errors import IntlogError
 from .relalg import DomainElement, element_name
@@ -449,13 +449,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def fail(self, what: str, tok: _Token) -> NoReturn:
+        """Raise the one error for an unexpected token."""
+        found = tok.value or "end of input"
+        raise ParseError(f"expected {what}, found {found!r} at position {tok.pos}")
+
     def expect(self, value: str) -> _Token:
         tok = self.next()
         if tok.value != value:
-            raise ParseError(
-                f"expected {value!r} but found {tok.value or 'end of input'!r}"
-                f" at position {tok.pos}"
-            )
+            self.fail(repr(value), tok)
         return tok
 
     def at(self, value: str) -> bool:
@@ -481,14 +483,9 @@ class _Parser:
             return _PREFIX[tok.value](self.unary())
         if tok.kind == "IDENT" and tok.value in _QUANTIFIERS:
             self.next()
-            var = self.next()
-            if var.kind != "IDENT" or not self.sig.is_var(var.value):
-                raise ParseError(
-                    f"quantifier needs a variable, found {var.value!r}"
-                    f" at position {var.pos}"
-                )
+            var = self.variable()
             self.expect(".")
-            return _QUANTIFIERS[tok.value](var.value, self.formula())  # maximal scope
+            return _QUANTIFIERS[tok.value](var, self.formula())  # maximal scope
         if tok.value == "(":
             self.next()
             f = self.formula()
@@ -510,21 +507,15 @@ class _Parser:
             if self.tokens[self.pos + 1].value == "==":
                 return self.identity()
             return self.application()
-        raise ParseError(
-            f"expected a formula, found {tok.value or 'end of input'!r}"
-            f" at position {tok.pos}"
-        )
+        self.fail("a formula", tok)
 
     def application(self) -> Formula:
         """PRED, then its arguments unless the name is a term's."""
         tok = self.next()
-        name, args = tok.value, []
+        name, args = tok.value, ()
         if self.at("(") and not self.sig.is_var(name) and not self.sig.is_const(name):
             self.next()
-            args.append(self.term())
-            while self.at(","):
-                self.next()
-                args.append(self.term())
+            args = self.items(self.term)
             self.expect(")")
         if not self.sig.has_pred(name, len(args)):
             arities = self.sig.pred_arities(name)
@@ -535,7 +526,7 @@ class _Parser:
                 )
             kind = "predicate" if args else "identifier"
             raise ParseError(f"unknown {kind} {name!r} at position {tok.pos}")
-        return Atom(PredicateSymbol(name, len(args)), tuple(args))
+        return Atom(PredicateSymbol(name, len(args)), args)
 
     def identity(self) -> Formula:
         t1 = self.term()
@@ -554,10 +545,8 @@ class _Parser:
             return ElemTerm(tok.value)
         if tok.value == "<<":
             return self.abstraction()
-        if tok.kind == "IDENT":
+        if tok.kind == "IDENT" and tok.value not in RESERVED_WORDS:
             self.next()
-            if tok.value in RESERVED_WORDS:
-                raise ParseError(f"{tok.value!r} cannot be a term")
             if self.sig.is_var(tok.value):
                 return Variable(tok.value)
             if self.sig.is_const(tok.value):
@@ -565,10 +554,7 @@ class _Parser:
             raise ParseError(
                 f"unknown term identifier {tok.value!r} at position {tok.pos}"
             )
-        raise ParseError(
-            f"expected a term, found {tok.value or 'end of input'!r}"
-            f" at position {tok.pos}"
-        )
+        self.fail("a term", tok)
 
     def abstraction(self) -> Abstraction:
         self.expect("<<")
@@ -585,19 +571,21 @@ class _Parser:
         return make_abstraction(body, alpha, beta)
 
     def varlist(self) -> Tuple[str, ...]:
-        names = []
-        if self.at("}"):
-            return ()
-        while True:
-            tok = self.next()
-            if tok.kind != "IDENT" or not self.sig.is_var(tok.value):
-                raise ParseError(
-                    f"expected a variable, found {tok.value!r} at position {tok.pos}"
-                )
-            names.append(tok.value)
-            if not self.at(","):
-                return tuple(names)
+        return () if self.at("}") else self.items(self.variable)
+
+    def variable(self) -> str:
+        tok = self.next()
+        if tok.kind != "IDENT" or not self.sig.is_var(tok.value):
+            self.fail("a variable", tok)
+        return tok.value
+
+    def items(self, item) -> tuple:
+        """One or more items, separated by commas."""
+        out = [item()]
+        while self.at(","):
             self.next()
+            out.append(item())
+        return tuple(out)
 
 
 def make_abstraction(
@@ -675,9 +663,8 @@ def _parse(text: str, sig: Signature, rule):
         x = rule(p)
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.value!r} at position {tok.pos}")
+    if p.peek().kind != "EOF":
+        p.fail("end of input", p.peek())
     return _checked_depth(x, len(tokens))
 
 

@@ -398,6 +398,39 @@ def test_zero_random_count_adds_no_formulas(paths, capsys):
     assert out.splitlines()[-1] == "checked 2 pairs over 1 worlds: 0 mismatches"
 
 
+def test_formula_line_may_start_with_an_element_literal(paths, capsys):
+    # a comment is `#` alone or before a space or a tab, so `#a == #a`
+    # is a formula
+    sig = paths["dir"] / "p_only.txt"
+    sig.write_text("pred p/1\n")
+    formulas = paths["dir"] / "f.txt"
+    formulas.write_text("# literals\n#\n#\tp(#b)\np(#a)\n#a == #a\n")
+    code, out, _ = run(capsys, "check-diagram", "--sig", str(sig), "--formulas", str(formulas),
+                       "--enumerate", "a")
+    assert (code, out) == (0, "checked 4 pairs over 2 worlds: 0 mismatches\n")
+
+
+@pytest.mark.parametrize("option", ["--sig", "--world"])
+def test_hash_led_word_in_a_signature_or_world_file_exits_2(paths, capsys, option):
+    path = paths["dir"] / "bad.txt"
+    path.write_text(("pred p/1\n" if option == "--sig" else "domain a\n") + "#comment\n")
+    code, out, err = run(capsys, *_file_commands(paths, str(path))[option])
+    assert (code, out, err) == (2, "", "error: line 2: cannot parse '#comment'\n")
+
+
+def test_variable_shadowing_a_predicate_exits_2(paths, capsys):
+    sig = paths["dir"] / "shadow.txt"
+    sig.write_text("pred p/1\nvar p\n")
+    code, out, err = run(capsys, "parse", "--sig", str(sig), "p(x)")
+    assert (code, out, err) == (2, "", "error: variable names shadow other symbols: ['p']\n")
+
+
+def test_parse_error_at_end_of_input_names_it(paths, capsys):
+    code, out, err = run(capsys, "parse", "--sig", paths["sig"], "exists")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a variable, found 'end of input' at position 6\n"
+
+
 @pytest.mark.parametrize("command", ["check-diagram", "check-constraint"])
 @pytest.mark.parametrize("text", ["", "# a comment\n\n   \n# another\n"],
                          ids=["empty", "comments_and_blanks"])

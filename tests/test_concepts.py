@@ -20,7 +20,7 @@ from intlog.concepts import (
     necess,
     union_concepts,
 )
-from intlog.relalg import ConceptHandle, Particular
+from intlog.relalg import ConceptHandle, Particular, join_plan
 import intlog
 from intlog.syntax import ID_PRED, PredicateSymbol
 
@@ -112,6 +112,17 @@ class TestDegrees:
     def test_invalid_s_degree_is_sum(self):
         assert conj({(1, 5)}, u1, u2).degree == 2
         assert conj({(1, 1), (2, 1)}, conj(set(), u1, u2), u1).degree == 3
+
+    @pytest.mark.parametrize("name, pairs", [
+        ("float_pairs_first", [(1.0, 1), (1, 1)]),
+        ("int_pairs_first", [(1, 1), (1.0, 1)]),
+    ])
+    def test_equal_pair_sets_give_one_degree_in_either_order(self, name, pairs):
+        # conj interns by the pair set, and {(1.0, 1)} == {(1, 1)}; a
+        # predicate no other test interns makes the first set the one kept
+        join_plan.cache_clear()
+        u = atom_concept(PredicateSymbol(name, 1), (1,))
+        assert [conj({p}, u, u).degree for p in pairs] == [1, 1]
 
     def test_neg_keeps_degree(self):
         a = atom_concept(P5, (1, 2, 3, 4, 5))

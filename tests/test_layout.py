@@ -248,9 +248,22 @@ def test_every_formula_walk_handles_exactly_the_formula_nodes():
         ("syntax.py", "_children"),
         ("syntax.py", "substitute"),
         ("syntax.py", "format_formula"),
-        ("cli.py", "_dump_ast"),
+        ("cli.py", "_dump"),
     ):
         assert _classes_tested(tree(module), function) - terms == nodes, function
+
+
+def test_the_parser_words_an_unexpected_token_in_one_place():
+    # every rule reports what it expected and what it found through one
+    # method, so no rule can print an empty token at end of input
+    tree = ast.parse((SRC / "syntax.py").read_text(encoding="utf-8"))
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and any(isinstance(v, ast.Constant) and "found " in v.value for v in node.values)
+    ]
+    assert len(sites) == 1, sites
 
 
 def test_syntax_nodes_compare_every_field():

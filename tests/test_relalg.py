@@ -129,6 +129,14 @@ class TestNaturalJoin:
         assert out.arity == 2
         assert out.tuples == frozenset(oracle_cartesian({(A,), (B,)}, {(B,)}))
 
+    @pytest.mark.parametrize("pairs", [[(1.0, 1), (1, 1)], [(1, 1), (1.0, 1)]],
+                             ids=["float_first", "int_first"])
+    def test_equal_index_sets_join_alike_in_either_order(self, pairs):
+        # {(1.0, 1)} == {(1, 1)}, so the plan cache takes them as one key
+        join_plan.cache_clear()
+        r1, r2 = rel(1, [(A,), (B,)]), rel(1, [(B,)])
+        assert [natural_join(r1, r2, {p}).tuples for p in pairs] == [frozenset({(B,)})] * 2
+
     def test_duplicate_right_index_degrades_to_cartesian(self):
         # {(1,1),(2,1)} matches the same right column twice; the arity
         # formula cannot hold for it, so it counts as ill-formed.
@@ -503,13 +511,16 @@ def draw_join_spec(data, kind):
         s = set(zip(left, right))
         assume(s != {(i, i) for i in range(1, k + 1)})
     elif kind == "ill-formed":
-        # a right column matched twice, or a column out of range
+        # a right column matched twice, a column out of range, or a
+        # pair of three
         k, j = ints(0, 3), ints(0, 3)
         i1, i2 = ints(1, max(k, 1)), ints(1, max(j, 1))
         if k >= 2 and j >= 1 and data.draw(st.booleans()):
             bad = (i1 % k + 1, i2)
         else:
-            bad = data.draw(st.sampled_from([(0, i2), (k + 1, i2), (i1, 0), (i1, j + 1)]))
+            bad = data.draw(st.sampled_from(
+                [(0, i2), (k + 1, i2), (i1, 0), (i1, j + 1), (i1, i2, 1)]
+            ))
         s = {(i1, i2), bad}
     else:
         k, j = ints(0, 3), ints(0, 3)

@@ -5,7 +5,9 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intlog.errors import IntlogError
 from intlog.files import load_formulas, load_signature
+from intlog.gen import corpus_abstractions, corpus_formulas, corpus_signature
 from intlog.relalg import ConceptHandle, Particular
 from intlog.syntax import (
     ID_PRED,
@@ -216,12 +218,35 @@ class TestParse:
             ("c(a)", "unknown identifier 'c' at position 0"),
             ("foo", "unknown identifier 'foo' at position 0"),
             ("p()", "expected a term, found ')' at position 2"),
-            ("p(true)", "'true' cannot be a term"),
+            # one row per place the parser words an unexpected token
+            ("exists", "expected a variable, found 'end of input' at position 6"),
+            ("p(x", "expected ')', found 'end of input' at position 3"),
+            ("p(x))", "expected end of input, found ')' at position 4"),
+            ("p(x) &", "expected a formula, found 'end of input' at position 6"),
+            ("p(true)", "expected a term, found 'true' at position 2"),
         ):
             with pytest.raises(ParseError, match=f"^{re.escape(msg)}$"):
                 P(bad)
-        with pytest.raises(ParseError, match="^expected a variable, found 'p' at position 12$"):
-            parse_term("<< p(x) >>_{p}", SIG)
+        for bad, msg in (
+            ("<< p(x) >>_{p}", "expected a variable, found 'p' at position 12"),
+            ("<< p(x) >>_{x,", "expected a variable, found 'end of input' at position 14"),
+        ):
+            with pytest.raises(ParseError, match=f"^{re.escape(msg)}$"):
+                parse_term(bad, SIG)
+
+    def test_every_prefix_of_a_printed_text_parses_or_names_what_it_found(self):
+        # a text cut short reports `end of input`, never an empty token
+        sig = corpus_signature()
+        texts = [format_formula(f) for f in corpus_formulas(sig)]
+        texts += [format_term(t) for t in corpus_abstractions(sig)]
+        prefixes = [t[:i] for t in texts for i in range(len(t))]
+        assert len(prefixes) > 9000
+        for text in prefixes:
+            for rule in (parse_formula, parse_term):
+                try:
+                    rule(text, sig)
+                except IntlogError as e:
+                    assert "found ''" not in str(e), text
 
     @pytest.mark.parametrize(
         "text", ["~" * 1000 + "p(x)", "(" * 1000 + "p(x)" + ")" * 1000]

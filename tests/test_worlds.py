@@ -445,6 +445,9 @@ class TestWorldSet:
     def test_unknown_world_name(self, ws4):
         with pytest.raises(WorldError, match="no world named"):
             ws4.world("nope")
+        # a set of listed members looks a name up in its own table
+        with pytest.raises(WorldError, match="^no world named 'nope' in ws$"):
+            WorldSet([World("m0", [A])]).world("nope")
 
     def test_mismatched_domain(self):
         w0 = World("m0", (A, B), {}, {P: rel(1, [])})
