@@ -162,14 +162,15 @@ def conj(s, u: Concept, v: Concept) -> Concept:
 
     The degree follows the join arity rule when s is well formed for
     the two degrees, and is the plain sum otherwise (the extension side
-    then degrades to a cartesian product the same way).
+    then degrades to a cartesian product the same way).  Its s is the
+    plan's int pairs, empty when the given s is ill formed.
     """
-    s = frozenset(tuple(p) for p in s)
+    plan = join_plan(frozenset(tuple(p) for p in s), u.degree, v.degree)
     return _intern(
-        ("conj", s, u.cid, v.cid),
+        ("conj", plan.pairs, u.cid, v.cid),
         kind="conj",
-        degree=join_plan(s, u.degree, v.degree).arity,
-        s=s,
+        degree=plan.arity,
+        s=plan.pairs,
         subs=(u, v),
     )
 
@@ -185,8 +186,9 @@ def exists(n, u: Concept) -> Concept:
     """Quantify away slot n (1-based).  Out-of-range n, including the
     0 used for vacuous quantification, is the identity and returns u
     itself."""
-    if not (isinstance(n, int) and 1 <= n <= u.degree):
+    if n not in range(1, u.degree + 1):
         return u
+    n = int(n)
     return _intern(
         ("exists", n, u.cid),
         kind="exists",

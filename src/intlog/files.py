@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from importlib import resources
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from .errors import IntlogError
 from .relalg import (
@@ -35,7 +35,6 @@ from .relalg import (
 from .semantics import RESERVED_PREDS, World, WorldError, interpret
 from .syntax import (
     Abstraction,
-    Formula,
     ParseError,
     PredicateSymbol,
     Signature,
@@ -73,23 +72,26 @@ def _at_line(lineno: int):
 
 def load_signature(text: str) -> Signature:
     """Parse a signature file: lines `pred name/arity`, `const name`,
-    `var name`."""
+    `var name`.  An error names the line of the declaration it is about:
+    for a name declared in two ways, the first line of the second way."""
     preds, consts, dvars = [], [], []
+    # name -> keyword (pred, const or var) -> first line declaring it so
+    first: Dict[str, Dict[str, int]] = {}
     for lineno, line in _content_lines(text):
-        m = re.fullmatch(r"pred\s+([A-Za-z]\w*)\s*/\s*([0-9]+)", line)
-        if m:
+        if m := re.fullmatch(r"pred\s+([A-Za-z]\w*)\s*/\s*([0-9]+)", line):
             preds.append((m.group(1), int(m.group(2))))
-            continue
-        m = re.fullmatch(r"const\s+([A-Za-z]\w*)", line)
-        if m:
+        elif m := re.fullmatch(r"const\s+([A-Za-z]\w*)", line):
             consts.append(m.group(1))
-            continue
-        m = re.fullmatch(r"var\s+([A-Za-z]\w*)", line)
-        if m:
+        elif m := re.fullmatch(r"var\s+([A-Za-z]\w*)", line):
             dvars.append(m.group(1))
-            continue
-        raise SignatureError(f"line {lineno}: cannot parse {line!r}")
-    return make_signature(preds, consts, dvars)
+        else:
+            raise SignatureError(f"line {lineno}: cannot parse {line!r}")
+        first.setdefault(m.group(1), {}).setdefault(line.split()[0], lineno)
+    try:
+        return make_signature(preds, consts, dvars)
+    except SignatureError as e:
+        at = min(sorted(first[n].values())[:2][-1] for n in e.names)
+        raise SignatureError(f"line {at}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +301,13 @@ def write_world_set(ws: WorldSet) -> str:
 # formula files and the bundled corpus
 # ---------------------------------------------------------------------------
 
-def load_formulas(text: str, sig: Signature, source: str) -> List[Formula]:
-    """Parse a formula file, one formula per line.  Errors name the
-    source and the line."""
+def load_formulas(text: str, sig: Signature, source: str, parse: Callable = parse_formula) -> list:
+    """Parse a file of one item per line, a formula unless parse says
+    otherwise.  Errors name the source and the line."""
     out = []
     for lineno, line in _content_lines(text):
         try:
-            out.append(parse_formula(line, sig))
+            out.append(parse(line, sig))
         except IntlogError as e:
             raise ParseError(f"{source}:{lineno}: {e}") from e
     return out
@@ -314,9 +316,3 @@ def load_formulas(text: str, sig: Signature, source: str) -> List[Formula]:
 def data_text(name: str) -> str:
     """The text of a file bundled under intlog/data."""
     return resources.files("intlog").joinpath("data", name).read_text(encoding="utf-8")
-
-
-def corpus_lines(name: str) -> Iterator[str]:
-    """The content lines of a bundled corpus file."""
-    for _, line in _content_lines(data_text(name)):
-        yield line

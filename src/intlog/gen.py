@@ -11,7 +11,7 @@ import random
 from typing import Iterable, List, Sequence
 
 from .errors import IntlogError
-from .files import corpus_lines, data_text, load_formulas, load_signature
+from .files import data_text, load_formulas, load_signature
 from .syntax import (
     Abstraction,
     Atom,
@@ -23,6 +23,7 @@ from .syntax import (
     ID_PRED,
     MAX_DEPTH as PARSE_MAX_DEPTH,
     Neg,
+    ParseError,
     PredicateSymbol,
     Signature,
     TRUE_PRED,
@@ -191,13 +192,14 @@ def corpus_formulas(sig: Signature = None) -> List[Formula]:
     return load_formulas(data_text("formulas.txt"), sig, "formulas.txt")
 
 
+def _abstraction(text: str, sig: Signature) -> Abstraction:
+    t = parse_term(text, sig)
+    if not isinstance(t, Abstraction):
+        raise ParseError(f"not an abstraction term: {text!r}")
+    return t
+
+
 def corpus_abstractions(sig: Signature = None) -> List[Abstraction]:
     """The bundled abstraction-term corpus."""
     sig = sig if sig is not None else corpus_signature()
-    out = []
-    for s in corpus_lines("abstractions.txt"):
-        t = parse_term(s, sig)
-        if not isinstance(t, Abstraction):
-            raise IntlogError(f"corpus line is not an abstraction term: {s!r}")
-        out.append(t)
-    return out
+    return load_formulas(data_text("abstractions.txt"), sig, "abstractions.txt", _abstraction)

@@ -213,11 +213,13 @@ class JoinPlan(NamedTuple):
     every shape, key1 and key2 map a left and a right row to the tuple
     of its join columns, rest2 a right row (or its labels) to that of
     its kept columns, so a hash join on them (as `worlds._join_masks`
-    runs) gives the join whatever the shape.
+    runs) gives the join whatever the shape.  pairs is s read as ints,
+    empty when s is ill-formed.
     """
 
     shape: str
     arity: int
+    pairs: frozenset
     key1: Callable
     key2: Callable
     rest2: Callable
@@ -260,19 +262,19 @@ def join_plan(s: frozenset, arity1: int, arity2: int) -> JoinPlan:
     if len(s) == arity2:
         # join_spec_ok matches each right column at most once
         if arity1 == arity2 and all(i1 == i2 for i1, i2 in s):
-            return JoinPlan("intersection", arity, tuple, tuple, _nothing)
+            return JoinPlan("intersection", arity, s, tuple, tuple, _nothing)
         left_of = {i2: i1 for i1, i2 in s}
         probe = _columns([left_of[i] - 1 for i in range(1, arity2 + 1)])
-        return JoinPlan("semijoin", arity, probe, tuple, _nothing)
+        return JoinPlan("semijoin", arity, s, probe, tuple, _nothing)
     if s == {(i, i) for i in range(1, arity1 + 1)}:
-        return JoinPlan(
-            "extension", arity, tuple, itemgetter(slice(arity1)), itemgetter(slice(arity1, None))
-        )
+        rest2 = itemgetter(slice(arity1, None))
+        return JoinPlan("extension", arity, s, tuple, itemgetter(slice(arity1)), rest2)
     pairs = sorted(s)
     drop = {i2 for _, i2 in pairs}
     return JoinPlan(
         "hash",
         arity,
+        s,
         _columns([i1 - 1 for i1, _ in pairs]),
         _columns([i2 - 1 for _, i2 in pairs]),
         _columns([i - 1 for i in range(1, arity2 + 1) if i not in drop]),
@@ -366,10 +368,11 @@ def project_out(r: Relation, m) -> Relation:
     identity.  Duplicates arising from the removal collapse.
     """
     k = r.arity
-    if m == 1 and k == 1:
-        return f_truth(r)
-    if not (isinstance(m, int) and 1 <= m <= k and k >= 2):
+    if m not in range(1, k + 1):
         return r
+    if k == 1:
+        return f_truth(r)
+    m = int(m)
     out = frozenset(t[: m - 1] + t[m:] for t in r.tuples)
     attrs = r.attrs[: m - 1] + r.attrs[m:] if r.attrs is not None else None
     return Relation(k - 1, out, attrs)

@@ -81,7 +81,11 @@ class AssignmentError(IntlogError):
 
 
 class SignatureError(IntlogError):
-    pass
+    """A bad signature; names are the declared names it is about."""
+
+    def __init__(self, message: str, names: Iterable[str] = ()):
+        super().__init__(message)
+        self.names = tuple(names)
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +304,18 @@ def make_signature(
     for name, arity in preds:
         _check_decl(name, "predicate")
         if arity < 0:
-            raise SignatureError(f"negative arity for predicate {name}")
+            raise SignatureError(f"negative arity for predicate {name}", [name])
     for name in consts:
         _check_decl(name, "constant")
     for name in declared_vars:
         if not _IDENT_RE.match(name) or name in RESERVED_WORDS:
-            raise SignatureError(f"bad variable name {name!r}")
-    overlap = consts & {n for n, _ in preds}
+            raise SignatureError(f"bad variable name {name!r}", [name])
+    overlap = sorted(consts & {n for n, _ in preds})
     if overlap:
-        raise SignatureError(
-            f"names declared both constant and predicate: {sorted(overlap)}"
-        )
-    shadowed = declared_vars & (consts | {n for n, _ in preds})
+        raise SignatureError(f"names declared both constant and predicate: {overlap}", overlap)
+    shadowed = sorted(declared_vars & (consts | {n for n, _ in preds}))
     if shadowed:
-        raise SignatureError(f"variable names shadow other symbols: {sorted(shadowed)}")
+        raise SignatureError(f"variable names shadow other symbols: {shadowed}", shadowed)
     return Signature(preds, consts, declared_vars)
 
 
@@ -327,13 +329,11 @@ def check_element_name(name: str, error: type = IntlogError) -> str:
 
 def _check_decl(name: str, kind: str) -> None:
     if not _IDENT_RE.match(name):
-        raise SignatureError(f"bad {kind} name {name!r}")
+        raise SignatureError(f"bad {kind} name {name!r}", [name])
     if name in RESERVED_WORDS:
-        raise SignatureError(f"{name!r} is reserved and cannot be a {kind}")
+        raise SignatureError(f"{name!r} is reserved and cannot be a {kind}", [name])
     if _VAR_RE.match(name):
-        raise SignatureError(
-            f"{kind} name {name!r} falls in the variable lexical class"
-        )
+        raise SignatureError(f"{kind} name {name!r} falls in the variable lexical class", [name])
 
 
 # ---------------------------------------------------------------------------

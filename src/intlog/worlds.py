@@ -17,8 +17,9 @@ at once: `masks` maps each tuple of a concept to a world bitmask (bit i
 set iff the tuple is in the concept's extension in member i), and every
 concept kind becomes an operation on those (tuple -> bitmask) tables,
 the way a symbolic model checker evaluates a formula over a set of
-states.  The base tables come from a scan of the members, or, for an
-enumerated set, in closed form, so no member is built.
+states.  Its one memo is the set's `_masks`, per concept; an atom's
+table is built with its concept's masks, by a scan of the members or,
+for an enumerated set, in closed form, so no member is built.
 `semantics.extensionalize` stays the per-world route, so the two can be
 checked against each other world by world; it memoizes in the set's
 `extensions`, so members that agree on the relations a concept reads
@@ -113,9 +114,9 @@ class WorldSet:
     The set keeps the one extension memo of its members,
     `extensions`: extensionalize keys a result by concept id and the
     tuple sets of the relations the concept reads, so members that hold
-    equal relations share it.  Beside it, the set keeps the
-    world-bitmask tables of `masks`: the base relations, built on first
-    use (`_base_masks`), and a memo per concept id.  The reference
+    equal relations share it.  Beside it, `_masks` is the one memo of
+    `masks`, per concept id: an atom's world-bitmask table is built
+    (`_base_table`) when its concept's masks are.  The reference
     evaluator's Box reads its own tables (`membership`), which last one
     check.
     """
@@ -152,7 +153,6 @@ class WorldSet:
         #: The bitmask of every member world.
         self.all_mask = (1 << count) - 1
         self.extensions: Dict[tuple, Relation] = {}
-        self._base: Optional[Dict[PredicateSymbol, Masks]] = None
         self._masks: Dict[int, Masks] = {}
 
     def sorted_domain(self) -> list:
@@ -182,20 +182,9 @@ class WorldSet:
             missing = next(w for w in self.worlds if pred not in w.pred_map)
             raise no_relation_error(pred, missing) from None
 
-    def _base_masks(self) -> Dict[PredicateSymbol, Masks]:
-        """Every member's base relations, the reserved `==` and `true`
-        among them, as (tuple -> bitmask) tables, built on first use and
-        kept until `clear_memos`."""
-        if self._base is None:
-            self._base = self._base_tables()
-        return self._base
-
-    def _base_tables(self) -> Dict[PredicateSymbol, Masks]:
-        """The base tables from a scan of the members' relations."""
-        return {
-            p: _row_masks([w.pred_map[p].tuples for w in self.worlds])
-            for p in self.worlds[0].pred_map
-        }
+    def _base_table(self, pred: PredicateSymbol) -> Masks:
+        """pred's (tuple -> bitmask) table for `masks`: `membership`'s scan."""
+        return self.membership(pred)
 
     def box_extension(self, u: Concept) -> Relation:
         """`box_extension` over this set, for semantics' necess branch."""
@@ -203,7 +192,6 @@ class WorldSet:
 
     def clear_memos(self) -> None:
         self.extensions.clear()
-        self._base = None
         self._masks.clear()
 
 
@@ -217,10 +205,10 @@ class EnumeratedWorldSet(WorldSet):
     No member is stored.  Indexing, iteration and `world(name)` build
     member i when it is asked for, named w<i> and adopted by the set.
     A member is a view: changing it does not change the set, and the
-    next request builds it afresh.  The base tables of `masks` are
-    built in closed form and `membership` from the candidate
-    relations, so the modal layer and the reference's Box build no
-    member.
+    next request builds it afresh.  An atom's table for `masks` is
+    built in closed form when its concept's masks are, and
+    `membership` from the candidate relations, so the modal layer and
+    the reference's Box build no member.
     """
 
     def __init__(self, elems: list, consts: Dict[str, DomainElement], layout: list, name: str):
@@ -247,35 +235,37 @@ class EnumeratedWorldSet(WorldSet):
             return self.member(int(i))
         raise WorldError(f"no world named {name!r} in {self.name}")
 
+    def _entry(self, pred: PredicateSymbol) -> tuple:
+        """pred's candidate tuples, candidate relations and shift."""
+        for p, ts, cands, shift in self._layout:
+            if p == pred:
+                return ts, cands, shift
+        raise no_relation_error(pred, self.worlds[0])
+
     def membership(self, pred: PredicateSymbol) -> Masks:
         """The reference evaluator's table of pred, from its candidate
         relations: one period (each candidate once, over the run of
         members that holds it), read from them on first use and kept,
         since a candidate never changes, then replicated over the
         members."""
-        entry = next((e for e in self._layout if e[0] == pred), None)
-        if entry is None:
-            raise no_relation_error(pred, self.worlds[0])
-        _, _, cands, shift = entry
+        _, cands, shift = self._entry(pred)
         period = self._periods.get(pred)
         if period is None:
             period = self._periods[pred] = _row_masks([r.tuples for r in cands], 1 << shift)
         width, count = len(cands) << shift, len(self)
         return {t: _replicate(m, width, count) for t, m in period.items()}
 
-    def _base_tables(self) -> Dict[PredicateSymbol, Masks]:
-        """Each base table in closed form: tuple j of a predicate is in
+    def _base_table(self, pred: PredicateSymbol) -> Masks:
+        """pred's table in closed form: tuple j of a predicate is in
         member i iff bit j of its candidate index is, a periodic
         pattern; `==` and `true` hold in every member."""
-        count, full = len(self), self.all_mask
-        out = {
-            p: {t: _replicate(((1 << (1 << b)) - 1) << (1 << b), 2 << b, count)
+        if pred == ID_PRED:
+            return {(e, e): self.all_mask for e in self._sorted}
+        if pred == TRUE_PRED:
+            return {(): self.all_mask}
+        ts, _, shift = self._entry(pred)
+        return {t: _replicate(((1 << (1 << b)) - 1) << (1 << b), 2 << b, len(self))
                 for b, t in enumerate(ts, shift)}
-            for p, ts, _, shift in self._layout
-        }
-        out[ID_PRED] = {(e, e): full for e in self._sorted}
-        out[TRUE_PRED] = {(): full}
-        return out
 
 
 class _Members(Sequence):
@@ -446,10 +436,7 @@ def masks(u: Concept, ws: WorldSet) -> Masks:
     kind = u.kind
     out: Masks = {}
     if kind == "atom":
-        table = ws._base_masks().get(u.pred)
-        if table is None:
-            raise no_relation_error(u.pred, ws.worlds[0])
-        for row, m in table.items():
+        for row, m in ws._base_table(u.pred).items():
             t = atom_row(u, row)
             if t is not None:
                 out[t] = out.get(t, 0) | m

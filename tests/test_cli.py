@@ -422,7 +422,20 @@ def test_variable_shadowing_a_predicate_exits_2(paths, capsys):
     sig = paths["dir"] / "shadow.txt"
     sig.write_text("pred p/1\nvar p\n")
     code, out, err = run(capsys, "parse", "--sig", str(sig), "p(x)")
-    assert (code, out, err) == (2, "", "error: variable names shadow other symbols: ['p']\n")
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: variable names shadow other symbols: ['p']\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("const p\npred p/1\n", "line 2: names declared both constant and predicate: ['p']"),
+    ("pred x/1\n", "line 1: predicate name 'x' falls in the variable lexical class"),
+    ("pred exists/1\n", "line 1: 'exists' is reserved and cannot be a predicate"),
+], ids=["constant_then_predicate", "variable_class", "reserved"])
+def test_signature_rule_error_names_its_line(paths, capsys, text, message):
+    sig = paths["dir"] / "bad_sig.txt"
+    sig.write_text(text)
+    code, out, err = run(capsys, "parse", "--sig", str(sig), "p(#a)")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_parse_error_at_end_of_input_names_it(paths, capsys):

@@ -111,6 +111,8 @@ class TestDegrees:
 
     def test_invalid_s_degree_is_sum(self):
         assert conj({(1, 5)}, u1, u2).degree == 2
+        # the join is the product, and the concept the product's
+        assert conj({(1, 5)}, u1, u2) is conj(set(), u1, u2)
         assert conj({(1, 1), (2, 1)}, conj(set(), u1, u2), u1).degree == 3
 
     @pytest.mark.parametrize("name, pairs", [
@@ -201,6 +203,25 @@ class TestFormatting:
         b = atom_concept(Q4, (1, 2, 3, 4))
         c = conj({(4, 1), (2, 3)}, a, b)
         assert format_concept(c).startswith("(conj {(2,3),(4,1)}")
+
+    @pytest.mark.parametrize("name, order", [
+        pytest.param(name, order, id=name) for name, order in [
+            ("bool_slot_first", (True, 1)),
+            ("int_slot_before_bool", (1, True)),
+            ("float_slot_first", (1.0, 1)),
+            ("int_slot_before_float", (1, 1.0)),
+        ]
+    ])
+    def test_a_slot_given_by_value_prints_as_an_int_in_either_order(self, name, order):
+        # equal slots key one node, which keeps the int whichever
+        # spelling builds it; a predicate no other test interns makes
+        # the first spelling the one that builds it
+        u = atom_concept(PredicateSymbol(name, 2), (1, 2))
+        v = atom_concept(PredicateSymbol(name, 1), (1,))
+        quantified = f"(exists 1 (atom {name}/2 _1 _2))"
+        joined = f"(conj {{(1,1)}} (atom {name}/1 _1) (atom {name}/1 _1))"
+        assert [format_concept(exists(n, u)) for n in order] == [quantified] * 2
+        assert [format_concept(conj({(n, 1)}, v, v)) for n in order] == [joined] * 2
 
     def test_union_format(self):
         # a union is its law's expansion, members in cid order

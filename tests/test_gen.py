@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from intlog import gen
 from intlog.gen import (
     MAX_DEPTH,
     MAX_NODES,
@@ -25,6 +26,7 @@ from intlog.syntax import (
     ElemTerm,
     Exists,
     Neg,
+    ParseError,
     PredicateSymbol,
     Variable,
     _depth,
@@ -173,6 +175,13 @@ class TestCorpus:
     def test_sizes(self):
         assert len(corpus_formulas()) >= 200
         assert len(corpus_abstractions()) >= 50
+
+    def test_a_line_that_is_no_abstraction_term_is_named(self, monkeypatch):
+        sig = corpus_signature()
+        monkeypatch.setattr(gen, "data_text", lambda name: "<< p(x) >>_{x}\n#a\n")
+        message = r"^abstractions\.txt:2: not an abstraction term: '#a'$"
+        with pytest.raises(ParseError, match=message):
+            corpus_abstractions(sig)
 
     def test_formulas_parse_and_stay_small(self):
         for f in corpus_formulas():

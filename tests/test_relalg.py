@@ -260,6 +260,12 @@ class TestProjectOut:
         assert project_out(r, 0) is r
         assert project_out(rel(0, [()]), 1) == TRUE  # arity 0, m out of range
 
+    def test_a_column_given_by_value_is_read_as_an_int(self):
+        r = rel(2, [(A, B)])
+        assert project_out(r, 1.0) == project_out(r, True) == rel(1, [(B,)])
+        assert project_out(rel(1, [(A,)]), 1.0) == TRUE
+        assert project_out(r, 1.5) is r
+
     def test_duplicates_collapse(self):
         r = rel(2, [(A, B), (A, C)])
         out = project_out(r, 2)

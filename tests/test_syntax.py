@@ -556,6 +556,12 @@ class TestSignature:
         with pytest.raises(SignatureError, match="^bad predicate name '1p'$"):
             make_signature(preds=[("1p", 1)])
 
+    def test_a_rule_error_names_the_first_line_of_the_second_way(self):
+        with pytest.raises(SignatureError, match=r"^line 3: names declared both constant "):
+            load_signature("pred p/1\npred p/2\nconst p\nconst p\n")
+        with pytest.raises(SignatureError, match=r"^line 4: variable names shadow other "):
+            load_signature("var q\nvar q\npred p/1\nconst q\n")
+
 
 # ---------------------------------------------------------------------------
 # printing round trips

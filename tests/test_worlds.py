@@ -256,14 +256,12 @@ class TestEnumeratedMembers:
     @pytest.mark.parametrize("case", BASE_TABLE_SETS.values(), ids=BASE_TABLE_SETS.keys())
     def test_closed_form_base_tables_equal_a_member_scan(self, case):
         ws = enumerate_worlds(*case)
-        closed = ws._base_masks()
         members = list(ws.worlds)
-        assert closed == {
-            p: worlds._row_masks([w.pred_map[p].tuples for w in members])
-            for p in members[0].pred_map
-        }
-        assert closed[ID_PRED] == {(e, e): ws.all_mask for e in ws.sorted_domain()}
-        assert closed[TRUE_PRED] == {(): ws.all_mask}
+        for p in members[0].pred_map:
+            scan = worlds._row_masks([w.pred_map[p].tuples for w in members])
+            assert ws._base_table(p) == scan, p
+        assert ws._base_table(ID_PRED) == {(e, e): ws.all_mask for e in ws.sorted_domain()}
+        assert ws._base_table(TRUE_PRED) == {(): ws.all_mask}
 
     @pytest.mark.parametrize("case", BASE_TABLE_SETS.values(), ids=BASE_TABLE_SETS.keys())
     def test_reference_tables_equal_those_of_a_file_copy(self, case):
@@ -484,11 +482,25 @@ class TestWorldSet:
         ws = enumerate_worlds(SIG_P, ["a", "b"])
         u = interpret(parse_formula("~p(x)", SIG_P))
         assert box_extension(u, ws) == rel(1, [])
-        assert ws._masks and ws._base
+        assert ws._masks
         ws.clear_memos()
-        assert ws._masks == {} and ws._base is None
+        assert ws._masks == {}
         # rebuilt on the next use
         assert diamond_extension(u, ws) == rel(1, [(A,), (B,)])
+
+    def test_masks_builds_a_table_once_per_atom_concept(self, monkeypatch):
+        # the per-concept memo is the only one: an atom concept's table
+        # is built with its masks, so two atoms of q build q's twice
+        ws = enumerate_worlds(SIG_PQ, ["a", "b"])
+        builds = counting(monkeypatch, type(ws), "_base_table", 4)
+
+        def built_after(text):
+            box_extension(interpret(parse_formula(text, SIG_PQ)), ws)
+            return len(builds)
+
+        assert [built_after(t) for t in ("p(x) & q(x, y)", "p(x)", "q(x, x)")] == [2, 2, 3]
+        ws.clear_memos()
+        assert built_after("p(x)") == 4
 
 
 class TestMontague:
